@@ -13,15 +13,6 @@ import (
 	"fedwcm/internal/sweep"
 )
 
-// RunSpec is one experiment cell. It lives in internal/sweep (the grid
-// layer owns cell identity); the alias keeps the public experiment API in
-// one import for CLIs and examples.
-type RunSpec = sweep.RunSpec
-
-// ErrNotAddressable mirrors sweep.ErrNotAddressable for callers that only
-// import this package.
-var ErrNotAddressable = sweep.ErrNotAddressable
-
 // ModelFor maps a dataset spec and model name to a network builder; see
 // sweep.ModelFor.
 func ModelFor(spec *data.Spec, model string) (nn.Builder, error) {

@@ -166,7 +166,7 @@ func All() []*Experiment {
 // cell is one (label, spec) pair of a hand-rolled experiment's sweep.
 type cell struct {
 	Key  string
-	Spec RunSpec
+	Spec sweep.RunSpec
 }
 
 // runCells executes cells, up to `workers` concurrently, returning

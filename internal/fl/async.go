@@ -1,15 +1,8 @@
 package fl
 
 import (
-	"container/heap"
-	"context"
 	"fmt"
 	"math"
-	"sort"
-	"time"
-
-	"fedwcm/internal/scenario"
-	"fedwcm/internal/xrand"
 )
 
 // Staleness weighting modes for AsyncConfig.Staleness.
@@ -18,12 +11,12 @@ const (
 	// fresh updates weigh 1, updates s server versions behind decay smoothly.
 	StalePoly = "poly"
 	// StaleUniform weighs every update 1 regardless of staleness. With
-	// K = cohort size this degenerates the async engine into the synchronous
-	// round loop (the equivalence the golden tests pin).
+	// K = concurrency = cohort size the async policy replays the barrier
+	// policy's histories (the equivalence the golden tests pin).
 	StaleUniform = "uniform"
 )
 
-// AsyncConfig switches the engine from the synchronous round loop to
+// AsyncConfig switches the round loop from its barrier policy to
 // FedBuffer-style buffered asynchronous aggregation: clients run
 // continuously, the server aggregates as soon as K updates arrive, and each
 // update is discounted by its staleness (how many server versions committed
@@ -37,10 +30,9 @@ const (
 //
 // Time is virtual: a non-straggler client's local round takes 1 time unit,
 // a straggler's takes 1/WorkFraction (slow, not partial — without a round
-// deadline there is nothing to truncate its work), and the synchronous
-// engine's rounds take exactly 1 unit (its deadline). No real clocks are
-// involved, so identical (spec, seed) pairs give bit-identical histories at
-// any worker count.
+// deadline there is nothing to truncate its work), while barrier rounds take
+// exactly 1 unit (their deadline). No real clocks are involved, so identical
+// (spec, seed) pairs give bit-identical histories at any worker count.
 type AsyncConfig struct {
 	// K is the buffer size: the server aggregates whenever K updates are
 	// buffered. Default max(1, SampleClients/2); clamped to the cohort.
@@ -121,7 +113,7 @@ func (a *AsyncConfig) Validate() error {
 }
 
 // NamedAsync resolves a sweep-axis preset name to an AsyncConfig: "sync"
-// (or "") is the synchronous engine (nil config), "async" is buffered
+// (or "") is the synchronous barrier policy (nil config), "async" is buffered
 // aggregation with the defaults (K = half the cohort, poly staleness), and
 // "eager" aggregates on every single update (K = 1, maximum staleness
 // pressure). Mirrors scenario.Named.
@@ -190,391 +182,12 @@ type AsyncAggregator interface {
 	AggregateAsync(info *AsyncInfo, global []float64, results []*ClientResult)
 }
 
-// asyncUpdate is one in-flight (or buffered) client update: an engine-owned
-// deep copy of the worker's ClientResult (scratch slots recycle every
-// batch, buffered updates outlive many batches) plus its event coordinates.
-type asyncUpdate struct {
-	res  ClientResult
-	ver  int     // server version at dispatch (staleness = flush ver − this)
-	wave int     // sampling wave that drew the client
-	seq  uint64  // dispatch sequence number, the event-order tiebreaker
-	t    float64 // virtual completion time
-}
-
-// copyFrom deep-copies a worker result, reusing this update's buffers.
-func (u *asyncUpdate) copyFrom(res *ClientResult) {
-	delta := u.res.Delta[:0]
-	pred := u.res.PredHist[:0]
-	payload := u.res.Payload[:0]
-	u.res = *res
-	u.res.Delta = append(delta, res.Delta...)
-	u.res.PredHist = append(pred, res.PredHist...)
-	u.res.Payload = append(payload, res.Payload...)
-}
-
-// eventQueue is the virtual-time completion heap, ordered by
-// (time, client, seq) — the deterministic pop order the property tests pin.
-type eventQueue []*asyncUpdate
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	a, b := q[i], q[j]
-	if a.t != b.t {
-		return a.t < b.t
-	}
-	if a.res.ClientID != b.res.ClientID {
-		return a.res.ClientID < b.res.ClientID
-	}
-	return a.seq < b.seq
-}
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x any)   { *q = append(*q, x.(*asyncUpdate)) }
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	u := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return u
-}
-
-// pendingJob is a sampled, not-yet-dispatched client of some wave.
-type pendingJob struct {
-	client int
-	wave   int
-	dur    float64 // virtual duration of its local round
-}
-
-// asyncEngine is the event-driven core. All state transitions happen
-// single-threaded in run(); the worker pool only ever executes one
-// deterministic batch at a time, so — exactly like the synchronous loop —
-// which worker trains which client is unobservable.
-type asyncEngine struct {
-	env *Env
-	m   Method
-	cfg Config
-	ac  AsyncConfig
-	rt  *workerRuntime
-	mx  *RunMetrics
-
-	k    int // flush threshold, clamped to the cohort
-	conc int // concurrency M, clamped to the population
-	kc   int // cohort size per wave: min(SampleClients, clients)
-
-	global    []float64
-	sim       *scenario.Sim
-	sampleRNG *xrand.RNG
-	dropRNG   *xrand.RNG
-
-	now     float64
-	version int
-	wave    int
-	seq     uint64
-
-	events   eventQueue
-	buffer   []*asyncUpdate
-	pending  []pendingJob
-	inflight int
-	busy     []bool // client currently dispatched (between dispatch and completion)
-	free     []*asyncUpdate
-
-	discount func(stale int) float64
-
-	// flush scratch, reused across aggregations
-	resbuf    []*ClientResult
-	stalebuf  []int
-	discbuf   []float64
-	weightbuf []float64
-	histbuf   []int
-	jobbuf    []clientJob
-	jobmeta   []pendingJob
-}
-
-// runAsync executes the buffered-async mode of RunWithProgressCtx. The
-// contract matches the synchronous loop: ctx is checked between events,
-// cancellation returns the history so far, and identical (env.Cfg, seed)
-// give bit-identical histories at any Workers value.
-func runAsync(ctx context.Context, env *Env, m Method, onRound func(RoundStat)) (*History, error) {
-	cfg := env.Cfg
-	ac := *cfg.Async
-	globalNet := env.Build(cfg.Seed)
-	dim := globalNet.NumParams()
-	global := make([]float64, dim)
-	globalNet.VectorInto(global)
-	m.Init(env, dim)
-
-	nClients := len(env.Clients)
-	kc := min(cfg.SampleClients, nClients)
-	e := &asyncEngine{
-		env: env, m: m, cfg: cfg, ac: ac, global: global,
-		kc:   kc,
-		k:    max(1, min(ac.K, kc)),
-		conc: max(1, min(ac.Concurrency, nClients)),
-		busy: make([]bool, nClients),
-	}
-	e.discount = func(stale int) float64 { return StalenessDiscount(stale, ac.Staleness, ac.StaleExp) }
-	workers := min(max(cfg.Workers, 1), e.conc)
-	e.rt = newRuntime(env, m, global, workers)
-	defer e.rt.close()
-
-	e.sampleRNG = xrand.New(xrand.DeriveSeed(cfg.Seed, 0x5a3317))
-	e.dropRNG = xrand.New(xrand.DeriveSeed(cfg.Seed, 0xd20b))
-	hist := &History{Method: m.Name()}
-
-	if !cfg.Scenario.IsZero() {
-		e.sim = scenario.NewSim(cfg.Scenario, cfg.Seed, nClients, cfg.Rounds)
-		if e.sim.HasDrift() {
-			base := env.Clients
-			defer func() { env.Clients = base }()
-		}
-	}
-	shotBuckets := ShotBuckets(env.GlobalCounts())
-	testTotals := env.Test.ClassCounts()
-	curStage := 0
-
-	mx := env.Metrics
-	if mx == nil {
-		mx = DefaultRunMetrics()
-	}
-	e.mx = mx
-	e.rt.metrics = mx
-	tracer := env.Tracer
-
-	dropped := make([]bool, e.kc)
-	lastTrainLoss := 0.0
-
-	// eval mirrors the synchronous loop's evaluation block exactly, keyed by
-	// server version instead of round index.
-	eval := func(info *AsyncInfo) {
-		globalNet.SetVector(e.global)
-		acc, perClass := Evaluate(globalNet, env.Test, 256)
-		stat := RoundStat{Round: e.version, TestAcc: acc, PerClass: perClass,
-			TrainLoss: lastTrainLoss,
-			Shot:      ShotAccuracy(perClass, testTotals, shotBuckets)}
-		if mr, ok := m.(MetricsReporter); ok {
-			stat.Metrics = mr.RoundMetrics()
-		}
-		if cfg.Clock {
-			stat.Time = e.now
-			stat.Async = asyncRoundStat(info, e.wave)
-		}
-		for _, probe := range env.Probes {
-			probe(e.version, globalNet)
-		}
-		hist.Stats = append(hist.Stats, stat)
-		mx.TestAcc.Set(acc)
-		mx.TrainLoss.Set(lastTrainLoss)
-		if stat.Shot != nil {
-			mx.ShotHead.Set(stat.Shot.Head)
-			mx.ShotMedium.Set(stat.Shot.Medium)
-			mx.ShotTail.Set(stat.Shot.Tail)
-		}
-		mx.ReportDiag(stat.Metrics)
-		if onRound != nil {
-			onRound(stat)
-		}
-	}
-
-	// commit advances the server version after a flush (info non-nil) or an
-	// empty wave (info nil) and evaluates on the synchronous cadence.
-	commit := func(info *AsyncInfo) {
-		e.version++
-		mx.Rounds.Inc()
-		mx.AsyncClock.Set(e.now)
-		if e.version%cfg.EvalEvery == 0 || e.version == cfg.Rounds {
-			eval(info)
-		}
-	}
-
-	flush := func() {
-		flushStart := time.Now()
-		span := tracer.Start(env.TraceID, "fl.async.flush").WithRound(e.version + 1)
-		info := e.aggregate()
-		// Empty-client updates (Steps == 0) carry no loss signal; like the
-		// synchronous loop, an all-empty flush keeps the last observed loss.
-		lossSum, cnt := 0.0, 0
-		for _, res := range e.resbuf {
-			if res.Steps > 0 {
-				lossSum += res.MeanLoss
-				cnt++
-			}
-		}
-		if cnt > 0 {
-			lastTrainLoss = lossSum / float64(cnt)
-		}
-		commit(info)
-		for _, u := range e.buffer {
-			e.free = append(e.free, u)
-		}
-		e.buffer = e.buffer[:0]
-		mx.AsyncBufferFill.Set(0)
-		mx.RoundSeconds.Observe(time.Since(flushStart).Seconds())
-		span.End()
-	}
-
-	for e.version < cfg.Rounds {
-		if err := ctx.Err(); err != nil {
-			return hist, err
-		}
-		// Replenish: once the previous wave is fully dispatched and the
-		// buffer has flushed, draw the next cohort (clients run continuously;
-		// the buffer gate keeps wave order deterministic and makes K = cohort
-		// degenerate to the synchronous barrier).
-		if len(e.pending) == 0 && len(e.buffer) == 0 && e.inflight < e.conc {
-			e.drawWave(dropped, &curStage)
-			if len(e.pending) == 0 && e.inflight == 0 {
-				// A wave with zero survivors and nothing in flight is the
-				// async analogue of the synchronous loop's empty round: the
-				// version advances with no aggregation.
-				commit(nil)
-				continue
-			}
-		}
-		if free := e.conc - e.inflight; free > 0 && len(e.pending) > 0 {
-			e.dispatch(free)
-		}
-		if e.events.Len() == 0 {
-			// Nothing left in flight. A sub-K buffer would deadlock waiting
-			// for updates that can never come — flush it (liveness rule).
-			if len(e.buffer) > 0 {
-				flush()
-			}
-			continue
-		}
-		u := heap.Pop(&e.events).(*asyncUpdate)
-		e.now = u.t
-		e.inflight--
-		e.busy[u.res.ClientID] = false
-		e.buffer = append(e.buffer, u)
-		mx.AsyncEvents.Inc()
-		mx.AsyncBufferFill.Set(float64(len(e.buffer)))
-		if len(e.buffer) >= e.k {
-			flush()
-		}
-	}
-	return hist, nil
-}
-
-// drawWave samples the next cohort with the exact RNG streams and drop
-// logic of the synchronous loop (same sampling stream, same availability /
-// DropProb decisions per sampled position), so the K = cohort degenerate
-// case replays synchronous rounds bit-for-bit. Survivors already dispatched
-// (still in flight) are skipped — a client cannot train twice concurrently.
-func (e *asyncEngine) drawWave(dropped []bool, curStage *int) {
-	w := e.wave
-	e.wave++
-	e.mx.AsyncWaves.Inc()
-	if e.sim != nil {
-		if st := e.sim.Stage(w); st != *curStage && e.env.Repartition != nil && e.env.BaseBeta > 0 {
-			*curStage = st
-			beta, ifac := e.sim.StageParams(st, e.env.BaseBeta, e.env.BaseIF)
-			part := e.env.Repartition(scenario.DriftSeed(e.cfg.Seed, st), beta)
-			e.env.Clients = driftClients(e.env.Train, part, scenario.KeepFracs(e.env.Train.Classes, e.env.BaseIF, ifac))
-		}
-		e.sim.BeginRound(w)
-	}
-	sampled := e.sampleRNG.SampleWithoutReplacement(len(e.env.Clients), e.kc)
-	sort.Ints(sampled)
-	dropped = dropped[:len(sampled)]
-	for i := range dropped {
-		dropped[i] = false
-	}
-	switch {
-	case e.sim != nil && e.sim.HasAvailability():
-		for i, id := range sampled {
-			dropped[i] = !e.sim.Available(id)
-		}
-	case e.cfg.DropProb > 0:
-		anySurvives := false
-		for i := range dropped {
-			dropped[i] = e.dropRNG.Float64() < e.cfg.DropProb
-			anySurvives = anySurvives || !dropped[i]
-		}
-		if !anySurvives {
-			dropped[0] = false
-		}
-	}
-	for i, id := range sampled {
-		if dropped[i] {
-			e.mx.Dropped.Inc()
-			continue
-		}
-		if e.busy[id] {
-			continue
-		}
-		frac := 1.0
-		if e.sim != nil && e.sim.HasStraggler() {
-			frac = e.sim.WorkFraction(w, id)
-		}
-		if frac < 1 {
-			e.mx.Stragglers.Inc()
-		}
-		dur := 1.0
-		if frac > 0 && frac < 1 {
-			// Stragglers are slow, not partial: without a round deadline the
-			// client finishes its full step budget over 1/frac time units.
-			dur = 1 / frac
-		}
-		if e.ac.Jitter > 0 {
-			jrng := xrand.New(xrand.DeriveSeed(e.cfg.Seed, uint64(w), uint64(id), 0xa57e))
-			dur *= 1 + e.ac.Jitter*(2*jrng.Float64()-1)
-		}
-		e.pending = append(e.pending, pendingJob{client: id, wave: w, dur: dur})
-	}
-}
-
-// dispatch trains up to n pending clients as one deterministic parallel
-// batch against the current global weights and momentum state, then pushes
-// their completion events. Every dispatched client performs its full local
-// step budget (WorkFrac 1) — slowness shows up as duration, not truncation.
-func (e *asyncEngine) dispatch(n int) {
-	n = min(n, len(e.pending))
-	e.jobbuf = e.jobbuf[:0]
-	e.jobmeta = e.jobmeta[:0]
-	for i := 0; i < n; i++ {
-		p := e.pending[i]
-		e.jobbuf = append(e.jobbuf, clientJob{pos: i, client: p.client, round: p.wave, frac: 1})
-		e.jobmeta = append(e.jobmeta, p)
-	}
-	e.pending = e.pending[:copy(e.pending, e.pending[n:])]
-	results := e.rt.runBatch(n, e.jobbuf)
-	for i, res := range results {
-		u := e.newUpdate()
-		u.copyFrom(res)
-		u.ver = e.version
-		u.wave = e.jobmeta[i].wave
-		u.seq = e.seq
-		e.seq++
-		u.t = e.now + e.jobmeta[i].dur
-		heap.Push(&e.events, u)
-		e.inflight++
-		e.busy[u.res.ClientID] = true
-	}
-}
-
-func (e *asyncEngine) newUpdate() *asyncUpdate {
-	if n := len(e.free); n > 0 {
-		u := e.free[n-1]
-		e.free = e.free[:n-1]
-		return u
-	}
-	return &asyncUpdate{}
-}
-
-// aggregate flushes the buffer through the method: updates sort into the
-// canonical (ClientID, seq) order — the synchronous loop's sorted-cohort
-// order when waves don't interleave — staleness discounts are computed, and
-// the method (or the generic fallback) folds them into the server update.
-func (e *asyncEngine) aggregate() *AsyncInfo {
-	sort.Slice(e.buffer, func(i, j int) bool {
-		a, b := e.buffer[i], e.buffer[j]
-		if a.res.ClientID != b.res.ClientID {
-			return a.res.ClientID < b.res.ClientID
-		}
-		return a.seq < b.seq
-	})
+// aggregateAsync folds the sorted buffer (e.resbuf) into the server update
+// with staleness discounts: per-update staleness and discount, their convex
+// normalisation and histogram, then the method's AggregateAsync or the
+// generic fallback.
+func (e *engine) aggregateAsync() *AsyncInfo {
 	n := len(e.buffer)
-	e.resbuf = e.resbuf[:0]
 	e.stalebuf = e.stalebuf[:0]
 	e.discbuf = e.discbuf[:0]
 	e.weightbuf = GrowWeights(e.weightbuf, n)
@@ -584,7 +197,6 @@ func (e *asyncEngine) aggregate() *AsyncInfo {
 	for _, u := range e.buffer {
 		s := e.version - u.ver
 		d := e.discount(s)
-		e.resbuf = append(e.resbuf, &u.res)
 		e.stalebuf = append(e.stalebuf, s)
 		e.discbuf = append(e.discbuf, d)
 		uniform = uniform && d == 1
@@ -600,7 +212,7 @@ func (e *asyncEngine) aggregate() *AsyncInfo {
 	}
 	for _, s := range e.stalebuf {
 		e.histbuf[s]++
-		e.mx.AsyncStaleness.Observe(float64(s))
+		e.amx.AsyncStaleness.Observe(float64(s))
 	}
 	info := &AsyncInfo{
 		Version:   e.version + 1,
@@ -619,11 +231,11 @@ func (e *asyncEngine) aggregate() *AsyncInfo {
 	if aa, ok := e.m.(AsyncAggregator); ok {
 		aa.AggregateAsync(info, e.global, e.resbuf)
 	} else {
-		// Generic fallback: pre-scale each (engine-owned) delta by its convex
-		// staleness weight × n, so a base-uniform method's effective weights
-		// become exactly the staleness combination; size-weighted methods get
-		// the same discount applied multiplicatively. Skipped entirely when
-		// every discount is 1, keeping the degenerate case bit-identical.
+		// Generic fallback: pre-scale each delta by its convex staleness
+		// weight × n, so a base-uniform method's effective weights become
+		// exactly the staleness combination; size-weighted methods get the
+		// same discount applied multiplicatively. Skipped entirely when every
+		// discount is 1, keeping the K = cohort replay bit-identical.
 		if !uniform {
 			for i, res := range e.resbuf {
 				s := e.weightbuf[i] * float64(n)
@@ -634,9 +246,9 @@ func (e *asyncEngine) aggregate() *AsyncInfo {
 		}
 		e.m.Aggregate(info.Version-1, e.global, e.resbuf)
 	}
-	e.mx.AsyncAggs.Inc()
+	e.amx.AsyncAggs.Inc()
 	if info.Partial {
-		e.mx.AsyncPartial.Inc()
+		e.amx.AsyncPartial.Inc()
 	}
 	return info
 }

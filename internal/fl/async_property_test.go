@@ -162,17 +162,17 @@ func TestEventQueuePopOrder(t *testing.T) {
 		var q eventQueue
 		n := 3 + int(rng.Uint64()%40)
 		for i := 0; i < n; i++ {
-			heap.Push(&q, &asyncUpdate{
+			heap.Push(&q, &clientUpdate{
 				// Small value sets force time and client collisions so the
 				// tiebreakers actually decide.
 				t:   float64(rng.Uint64()%4) * 0.5,
 				seq: rng.Uint64() % 16,
-				res: ClientResult{ClientID: int(rng.Uint64() % 5)},
+				res: &ClientResult{ClientID: int(rng.Uint64() % 5)},
 			})
 		}
-		var popped []*asyncUpdate
+		var popped []*clientUpdate
 		for q.Len() > 0 {
-			popped = append(popped, heap.Pop(&q).(*asyncUpdate))
+			popped = append(popped, heap.Pop(&q).(*clientUpdate))
 		}
 		if !sort.SliceIsSorted(popped, func(i, j int) bool {
 			a, b := popped[i], popped[j]

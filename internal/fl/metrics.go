@@ -162,9 +162,10 @@ type RoundStat struct {
 	// the series stays comparable across rounds).
 	Shot *ShotAcc `json:"shot,omitempty"`
 	// Time is the virtual wall-clock at this evaluation, recorded only when
-	// Config.Clock is set (the synchronous engine counts 1 unit per round —
-	// its deadline — the async engine the event time of the flush). Zero and
-	// omitted otherwise, so clock-free histories keep pre-async bytes.
+	// Config.Clock is set (the barrier policy counts 1 unit per round — its
+	// deadline, empty rounds included — the async policy the event time of
+	// the flush). Zero and omitted otherwise, so clock-free histories keep
+	// pre-async bytes.
 	Time float64 `json:"time,omitempty"`
 	// Async is the buffered-aggregation breakdown of the flush that produced
 	// this version; only present on async runs with Config.Clock set.

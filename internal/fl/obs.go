@@ -25,14 +25,7 @@ type RunMetrics struct {
 	ShotMedium     *obs.Gauge
 	ShotTail       *obs.Gauge
 
-	// Buffered-async engine instrumentation (all zero-valued on sync runs).
-	AsyncAggs       *obs.Counter   // fedwcm_fl_async_aggregations_total
-	AsyncPartial    *obs.Counter   // fedwcm_fl_async_partial_flushes_total
-	AsyncEvents     *obs.Counter   // fedwcm_fl_async_events_total
-	AsyncWaves      *obs.Counter   // fedwcm_fl_async_waves_total
-	AsyncBufferFill *obs.Gauge     // fedwcm_fl_async_buffer_fill
-	AsyncClock      *obs.Gauge     // fedwcm_fl_async_virtual_time
-	AsyncStaleness  *obs.Histogram // fedwcm_fl_async_staleness
+	AsyncMetrics
 
 	// diag exposes MetricsReporter values (FedWCM's alpha/q/wmax — the
 	// collapse diagnostic) as fedwcm_fl_diag{metric=...}. Children are
@@ -42,6 +35,18 @@ type RunMetrics struct {
 	diagVec *obs.GaugeVec
 	diagMu  sync.RWMutex
 	diag    map[string]*obs.Gauge
+}
+
+// AsyncMetrics is the buffered-async policy's instrumentation. The engine
+// only touches it on async runs, so every series stays zero on sync runs.
+type AsyncMetrics struct {
+	AsyncAggs       *obs.Counter   // fedwcm_fl_async_aggregations_total
+	AsyncPartial    *obs.Counter   // fedwcm_fl_async_partial_flushes_total
+	AsyncEvents     *obs.Counter   // fedwcm_fl_async_events_total
+	AsyncWaves      *obs.Counter   // fedwcm_fl_async_waves_total
+	AsyncBufferFill *obs.Gauge     // fedwcm_fl_async_buffer_fill
+	AsyncClock      *obs.Gauge     // fedwcm_fl_async_virtual_time
+	AsyncStaleness  *obs.Histogram // fedwcm_fl_async_staleness
 }
 
 // NewRunMetrics resolves the fl metric family on reg. A nil reg returns a

@@ -12,10 +12,10 @@ import (
 // ClientScratch is the per-worker reusable workspace for local training: the
 // dim-sized vectors RunLocalSGD needs every client (gradient, step direction,
 // prox snapshot), the batch-gather buffers, and a pool of result slots whose
-// Delta vectors live exactly one round. One scratch belongs to one worker, so
+// Delta vectors live exactly one batch. One scratch belongs to one worker, so
 // nothing here is shared between goroutines; the runtime resets the slot
-// cursor at every round boundary, after which the previous round's results
-// are dead (Aggregate has consumed them).
+// cursor at every batch boundary, after which the previous batch's results
+// are dead (aggregated, or copied out by the engine).
 type ClientScratch struct {
 	dim int
 
@@ -29,7 +29,7 @@ type ClientScratch struct {
 	gidx []int         // global row indices of the current batch
 	dl   *tensor.Dense // d(loss)/d(logits) buffer (losses implementing GradInto)
 
-	results []*ClientResult // result slots, reused round-over-round
+	results []*ClientResult // result slots, reused batch-over-batch
 	used    int             // slots handed out since the last Reset
 }
 
@@ -42,8 +42,8 @@ func NewClientScratch(dim int) *ClientScratch {
 	}
 }
 
-// Reset recycles all result slots. Call only when the previous round's
-// results are no longer referenced (i.e. after Aggregate).
+// Reset recycles all result slots. Call only when the previous batch's
+// results are no longer referenced.
 func (s *ClientScratch) Reset() { s.used = 0 }
 
 // nextResult hands out a recycled (or fresh) result slot with a dim-sized
@@ -79,21 +79,21 @@ func (s *ClientScratch) proxBuf() []float64 {
 
 // runtime is the persistent per-run worker pool: each worker owns a private
 // network instance, a ClientScratch and a reusable RNG, and lives for the
-// whole run instead of being respawned every round. Round state (sampled
-// cohort, result slots, the global vector) is written single-threaded
-// between rounds; the jobs channel and WaitGroup provide the
-// happens-before edges that make those writes visible to workers.
+// whole run instead of being respawned every round. Batch state (jobs,
+// result slots, the global vector) is written single-threaded between
+// batches; the jobs channel and WaitGroup provide the happens-before edges
+// that make those writes visible to workers.
 //
 // Determinism is preserved by construction: results land in a slice indexed
-// by sampled position, every job reloads the global weights and reseeds its
-// RNG from (seed, round, client), and scratch buffers are fully overwritten
+// by batch position, every job reloads the global weights and reseeds its
+// RNG from (seed, wave, client), and scratch buffers are fully overwritten
 // before use — so which worker runs which client is unobservable.
 type workerRuntime struct {
 	env  *Env
 	m    Method
 	jobs chan int
 	wg   sync.WaitGroup
-	// metrics is set by the engine before the first round (never nil after
+	// metrics is set by the engine before the first batch (never nil after
 	// that; its handles are nil-safe, so an all-no-op bundle costs nothing).
 	metrics *RunMetrics
 
@@ -102,17 +102,16 @@ type workerRuntime struct {
 	// batches); batch describes the jobs of the current runBatch call.
 	global  []float64
 	batch   []clientJob
-	jobBuf  []clientJob // runRound's reusable job list
 	results []*ClientResult
 
 	workers []*runWorker
 }
 
 // clientJob is one unit of local training: which client, which result slot
-// it lands in, which (round-or-wave, client) RNG stream it draws, and what
-// fraction of the local step budget it runs (sync straggler semantics; the
-// async engine always dispatches full work and models slowness as virtual
-// duration instead).
+// it lands in, which (wave, client) RNG stream it draws, and what fraction
+// of the local step budget it runs (partial under the barrier policy's
+// straggler deadline; the async policy always runs full work and models
+// slowness as virtual duration instead).
 type clientJob struct {
 	pos    int
 	client int
@@ -145,35 +144,15 @@ func newRuntime(env *Env, m Method, global []float64, n int) *workerRuntime {
 	return rt
 }
 
-// close stops the worker goroutines. The runtime must be idle (no round in
+// close stops the worker goroutines. The runtime must be idle (no batch in
 // flight).
 func (rt *workerRuntime) close() { close(rt.jobs) }
-
-// runRound trains the sampled cohort (minus dropped positions, which never
-// train) and returns the per-position results; dropped positions stay nil.
-// fracs, when non-empty, is the per-position work fraction a straggler
-// scenario assigns (parallel to sampled; dropped positions unused). The
-// returned slice is valid until the next runRound call.
-func (rt *workerRuntime) runRound(round int, sampled []int, dropped []bool, fracs []float64) []*ClientResult {
-	rt.jobBuf = rt.jobBuf[:0]
-	for pos, id := range sampled {
-		if dropped[pos] {
-			continue
-		}
-		frac := 1.0
-		if len(fracs) > pos {
-			frac = fracs[pos]
-		}
-		rt.jobBuf = append(rt.jobBuf, clientJob{pos: pos, client: id, round: round, frac: frac})
-	}
-	return rt.runBatch(len(sampled), rt.jobBuf)
-}
 
 // runBatch executes one deterministic batch of jobs over the pool: results
 // land in a slots-sized slice indexed by each job's pos (slots without a
 // job stay nil). Scratch result slots recycle at every batch boundary, so
-// callers that keep results across batches (the async engine's buffer) must
-// deep-copy them first. The returned slice is valid until the next call.
+// callers that keep results across batches must deep-copy them first. The
+// returned slice is valid until the next call.
 func (rt *workerRuntime) runBatch(slots int, jobs []clientJob) []*ClientResult {
 	rt.batch = jobs
 	if cap(rt.results) < slots {

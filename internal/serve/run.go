@@ -3,8 +3,8 @@ package serve
 import (
 	"sync"
 
-	"fedwcm/internal/experiments"
 	"fedwcm/internal/fl"
+	"fedwcm/internal/sweep"
 )
 
 // Run lifecycle states as reported over the API. "cached" never appears on
@@ -26,7 +26,7 @@ const (
 // artifact, never on a second execution.
 type run struct {
 	id   string
-	spec experiments.RunSpec
+	spec sweep.RunSpec
 
 	mu       sync.Mutex
 	status   string
@@ -37,7 +37,7 @@ type run struct {
 	done     chan struct{} // closed on transition to done/failed
 }
 
-func newRun(id string, spec experiments.RunSpec) *run {
+func newRun(id string, spec sweep.RunSpec) *run {
 	return &run{
 		id:     id,
 		spec:   spec,

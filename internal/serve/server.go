@@ -393,7 +393,7 @@ func (s *Server) ensureCell(spec sweep.RunSpec, fp string, block bool) (r *run, 
 func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	dec := json.NewDecoder(req.Body)
 	dec.DisallowUnknownFields() // a typo'd field means a different cell than intended
-	var spec experiments.RunSpec
+	var spec sweep.RunSpec
 	if err := dec.Decode(&spec); err != nil {
 		httpError(w, http.StatusBadRequest, "decoding spec: %v", err)
 		return

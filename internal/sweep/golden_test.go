@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"fedwcm/internal/fl"
@@ -49,6 +50,22 @@ var goldenHistories = map[string]string{
 	"mofedsam":  "00840f9f8a38ac20b989b5e9c32876261cac3bfa195fede522c288e0112595c0",
 	"fedgrab":   "36e19056692f673e0e9064fb5bf23efb103c774a2815c25cfb0917489990e733",
 	"balancefl": "8e3efe5416da65c6647f8fba6d07815f4117e444d8541d069a88085779f260d4",
+	// Sync cells of a sweep with an async axis record the virtual clock.
+	"fedavg" + clockSuffix: "a19b85ef9f714f3714bef71c063bc884d85247ea43fd29be12acd711a590c5d4",
+	"fedwcm" + clockSuffix: "c5cf2a5c0a0e5bffbf55ab4b46a9e9ff00242915671ed93cf1ebd8210eef2879",
+}
+
+// clockSuffix marks a golden-table key whose run sets Cfg.Clock, pinning the
+// virtual-clock stamps (one deadline unit per round, empty rounds included).
+const clockSuffix = "+clock"
+
+// goldenKeySpec builds the spec a golden-table key names: the method, with
+// Cfg.Clock on when the key carries clockSuffix.
+func goldenKeySpec(key string, build func(method string) RunSpec) RunSpec {
+	method, clock := strings.CutSuffix(key, clockSuffix)
+	spec := build(method)
+	spec.Cfg.Clock = clock
+	return spec
 }
 
 // goldenPreShotHistories are the original PR 2 digests, recorded before
@@ -126,9 +143,9 @@ func runGolden(t *testing.T, spec RunSpec, want string) {
 }
 
 func TestGoldenHistoriesBitIdentical(t *testing.T) {
-	for method, want := range goldenHistories {
-		t.Run(method, func(t *testing.T) {
-			runGolden(t, goldenSpec(method), want)
+	for key, want := range goldenHistories {
+		t.Run(key, func(t *testing.T) {
+			runGolden(t, goldenKeySpec(key, goldenSpec), want)
 		})
 	}
 }
@@ -155,12 +172,15 @@ func goldenScenarioSpec(method string) RunSpec {
 var goldenScenarioHistories = map[string]string{
 	"fedavg": "c43b6bb52f35bdd5e3ca67fbfb9a151148213c94df9e60c758c13cdc4a717159",
 	"fedwcm": "e42f60488ca81a3779b989b54e1b920793d118e7e2005341945836c4ec80984d",
+	// Empty (fully unavailable) rounds still spend their deadline unit.
+	"fedavg" + clockSuffix: "b83fef9bbab34a626eedfbea126937fc12d7cdabb35af79f7b15ff010dabf3ce",
+	"fedwcm" + clockSuffix: "e19de4ea6ec613e7bb6b705e8043fd5b91e96372174a029feb74eac95f57fd89",
 }
 
 func TestGoldenScenarioHistoriesBitIdentical(t *testing.T) {
-	for method, want := range goldenScenarioHistories {
-		t.Run(method, func(t *testing.T) {
-			spec := goldenScenarioSpec(method)
+	for key, want := range goldenScenarioHistories {
+		t.Run(key, func(t *testing.T) {
+			spec := goldenKeySpec(key, goldenScenarioSpec)
 			if err := spec.Validate(); err != nil {
 				t.Fatalf("scenario golden spec must validate: %v", err)
 			}
