@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -279,6 +280,246 @@ func TestWorkerReattachesAcrossCoordinatorRestart(t *testing.T) {
 	}
 }
 
+// TestCoordinatorFailoverMidSweep crashes a WAL-backed coordinator in the
+// middle of a sweep two workers are draining, restarts it on the same
+// address + WAL + store, and resubmits the sweep the way the orchestration
+// layer does after a backend restart. Every cell must complete exactly
+// once (one store write per fingerprint across both incarnations), no cell
+// may execute more than twice, and every artifact must be byte-identical
+// to a local-backend run of the same jobs.
+//
+// Execution (not completion) is at-least-once by design: a worker whose
+// upload straddles the crash abandons the job, the recovered lease
+// expires, and a retry recomputes it — the idempotent content-addressed
+// upload still completes the cell once.
+func TestCoordinatorFailoverMidSweep(t *testing.T) {
+	walPath := filepath.Join(t.TempDir(), "coord.wal")
+	st := tstore(t)
+
+	// Deterministic runner whose artifact derives from the spec alone, so a
+	// local-backend reference run must produce byte-identical store files.
+	var execMu sync.Mutex
+	execs := map[string]int{}
+	mkRunner := func(delay time.Duration, count bool) Runner {
+		return func(ctx context.Context, job Job, onRound func(fl.RoundStat)) (*fl.History, error) {
+			if count {
+				execMu.Lock()
+				execs[job.ID]++
+				execMu.Unlock()
+			}
+			if delay > 0 {
+				select {
+				case <-time.After(delay):
+				case <-ctx.Done():
+					return nil, ctx.Err()
+				}
+			}
+			var spec struct {
+				Cell int `json:"cell"`
+			}
+			if err := json.Unmarshal(job.Spec, &spec); err != nil {
+				return nil, err
+			}
+			h := cannedHist(spec.Cell)
+			if onRound != nil {
+				for _, s := range h.Stats {
+					onRound(s)
+				}
+			}
+			return h, nil
+		}
+	}
+	jobs := make([]Job, 24)
+	for i := range jobs {
+		jobs[i] = testJob(i)
+	}
+
+	mkCoord := func() *Coordinator {
+		c, err := NewCoordinator(CoordinatorConfig{
+			Store: st, WALPath: walPath, LeaseTTL: 5 * time.Second, Logf: t.Logf,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	// Each incarnation's handlers are tracked so the crash can wait them
+	// out: a real kill -9 stops an upload dead, but an in-process handler
+	// keeps running after its listener closes. Draining it before the
+	// restart places the crash just after that upload's store write and
+	// before its complete record — the window recovery resolves from the
+	// store — instead of racing a second write against the new coordinator.
+	type incarnation struct {
+		coord *Coordinator
+		srv   *http.Server
+		mu    sync.RWMutex
+		dead  bool
+	}
+	serve := func(c *Coordinator, ln net.Listener) *incarnation {
+		inc := &incarnation{coord: c}
+		mux := http.NewServeMux()
+		c.Mount(mux)
+		inc.srv = &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			inc.mu.RLock()
+			defer inc.mu.RUnlock()
+			if inc.dead {
+				w.WriteHeader(http.StatusServiceUnavailable)
+				return
+			}
+			mux.ServeHTTP(w, r)
+		})}
+		go inc.srv.Serve(ln)
+		return inc
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	live := serve(mkCoord(), ln)
+	defer func() { live.srv.Close(); live.coord.Close() }()
+
+	// Two workers, slow enough that the sweep is genuinely mid-flight when
+	// the crash lands.
+	ctx, cancel := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		w, err := NewWorker(WorkerConfig{
+			Coordinator: "http://" + addr,
+			Runner:      mkRunner(30*time.Millisecond, true),
+			Name:        fmt.Sprintf("w%d", i),
+			PollWait:    250 * time.Millisecond,
+			Logf:        t.Logf,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() { defer wg.Done(); w.Run(ctx) }()
+	}
+	defer func() { cancel(); wg.Wait() }()
+
+	for _, j := range jobs {
+		if _, err := live.coord.Submit(j, SubmitOpts{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Wait until the sweep is mid-flight: some cells done, several left.
+	stored := func() int {
+		n := 0
+		for _, j := range jobs {
+			if _, ok, _ := st.Get(j.ID); ok {
+				n++
+			}
+		}
+		return n
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		done := stored()
+		if done >= 1 && done <= len(jobs)-4 {
+			break
+		}
+		if done > len(jobs)-4 {
+			t.Fatalf("sweep drained to %d/%d before the crash window", done, len(jobs))
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("sweep never got mid-flight (%d/%d done)", done, len(jobs))
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+
+	// Crash: listener torn down, connections cut, the coordinator dropped
+	// (Close journals no completes, so the WAL still carries every
+	// unfinished job), then the incarnation's last handlers drained.
+	live.srv.Close()
+	live.coord.Close()
+	live.mu.Lock()
+	live.dead = true
+	live.mu.Unlock()
+	t.Logf("coordinator killed with %d/%d cells done", stored(), len(jobs))
+
+	// Restart on the same address + WAL + store.
+	ln2, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatalf("rebinding %s: %v", addr, err)
+	}
+	c2 := mkCoord()
+	if s := c2.Stats(); !s.Durable || s.Recovered == 0 {
+		t.Fatalf("restarted coordinator recovered %+v, want journaled jobs back", s)
+	}
+	t.Logf("coordinator restarted: %d jobs recovered", c2.Stats().Recovered)
+	live = serve(c2, ln2)
+
+	// Resubmissions coalesce onto recovered (or already-stored) jobs.
+	handles := make([]Handle, 0, len(jobs))
+	for _, j := range jobs {
+		h, err := c2.Submit(j, SubmitOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		handles = append(handles, h)
+	}
+	for i, h := range handles {
+		select {
+		case <-h.Done():
+		case <-time.After(30 * time.Second):
+			t.Fatalf("cell %d (%.12s) never completed after failover", i, h.Job().ID)
+		}
+		if _, err := h.Result(); err != nil {
+			t.Fatalf("cell %d (%.12s) after failover: %v", i, h.Job().ID, err)
+		}
+	}
+	if n := st.Stats().Puts; n != int64(len(jobs)) {
+		t.Fatalf("store took %d artifact writes for %d cells; every cell must complete exactly once", n, len(jobs))
+	}
+
+	// Byte-identity: run the same jobs on the local backend and compare the
+	// artifact files bit for bit.
+	refStore := tstore(t)
+	local, err := NewLocal(LocalConfig{Store: refStore, Workers: 2, Runner: mkRunner(0, false), Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer local.Close()
+	for _, j := range jobs {
+		h, err := local.Submit(j, SubmitOpts{Block: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := waitDone(t, h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, j := range jobs {
+		got, err := os.ReadFile(st.Path(j.ID))
+		if err != nil {
+			t.Fatalf("artifact %.12s missing: %v", j.ID, err)
+		}
+		want, err := os.ReadFile(refStore.Path(j.ID))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Fatalf("artifact %.12s differs from the local-backend run", j.ID)
+		}
+	}
+
+	// Bounded re-execution: every cell ran, and none burned more than one
+	// crash retry.
+	execMu.Lock()
+	defer execMu.Unlock()
+	for _, j := range jobs {
+		switch n := execs[j.ID]; {
+		case n == 0:
+			t.Errorf("cell %.12s never executed", j.ID)
+		case n > 2:
+			t.Errorf("cell %.12s executed %d times; the crash budget is one retry", j.ID, n)
+		}
+	}
+}
+
 // TestRelayOrderingUnderUploadRace is the regression for the progress-relay
 // race: a slow subscriber consuming a heartbeat relay while the result
 // upload backfills concurrently. Per-job delivery is serialized, so every
@@ -384,9 +625,9 @@ func TestDeregisterTimesOutOnWedgedCoordinator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.primary.mu.Lock()
-	w.primary.id = "w-wedged"
-	w.primary.mu.Unlock()
+	w.mu.Lock()
+	w.id = "w-wedged"
+	w.mu.Unlock()
 	start := time.Now()
 	w.deregister()
 	if elapsed := time.Since(start); elapsed > deregisterTimeout+5*time.Second {

@@ -187,3 +187,21 @@ func TestWorkerShutdownDeregisters(t *testing.T) {
 		t.Fatalf("job lost across graceful worker shutdown: %v", err)
 	}
 }
+
+// TestJitterStaysWithinBounds pins the jitter envelope: every sample lands
+// in [0.8d, 1.2d) and the samples actually spread (a constant factor would
+// defeat the desynchronization it exists for).
+func TestJitterStaysWithinBounds(t *testing.T) {
+	d := time.Second
+	lo, hi := d, d
+	for i := 0; i < 1000; i++ {
+		j := jitter(d)
+		if j < 800*time.Millisecond || j >= 1200*time.Millisecond {
+			t.Fatalf("jitter(%v) = %v, outside [800ms, 1200ms)", d, j)
+		}
+		lo, hi = min(lo, j), max(hi, j)
+	}
+	if hi-lo < 100*time.Millisecond {
+		t.Fatalf("1000 jitter samples spread only [%v, %v]; expected a wide spread", lo, hi)
+	}
+}

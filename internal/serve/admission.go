@@ -173,12 +173,14 @@ func (s *Server) admitted(h http.HandlerFunc) http.HandlerFunc {
 }
 
 // execPending reads the executor's undispatched queue depth for the
-// backpressure check: remote-style executors (Coordinator, shard router)
-// export it via Stats, the local pool via Pending. An executor exposing
-// neither reads as empty and backpressure never triggers.
+// backpressure check: the remote Coordinator exports it via Stats, the
+// local pool via Pending. An executor exposing neither reads as empty and
+// backpressure never triggers.
 func (s *Server) execPending() int {
 	switch e := s.exec.(type) {
-	case interface{ Stats() dispatch.CoordinatorStats }:
+	case interface {
+		Stats() dispatch.CoordinatorStats
+	}:
 		return e.Stats().Pending
 	case interface{ Pending() int }:
 		return e.Pending()

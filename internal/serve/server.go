@@ -191,9 +191,6 @@ func New(cfg Config) (*Server, error) {
 	handle("GET /v1/sweeps/{id}/result", "/v1/sweeps/{id}/result", s.handleSweepResult)
 	handle("GET /v1/sweeps/{id}/events", "/v1/sweeps/{id}/events", s.handleSweepEvents)
 	handle("GET /v1/experiments", "/v1/experiments", s.handleRegistry)
-	// Raw artifact bytes for store replication: every server (shard or not)
-	// exports what its store holds, so peers can read through to it.
-	handle("GET /v1/artifacts/{id}", "/v1/artifacts/{id}", cfg.Store.ArtifactHandler())
 	// A backend with worker-facing endpoints (the remote coordinator)
 	// serves them from this listener too.
 	if m, ok := s.exec.(interface{ Mount(*http.ServeMux) }); ok {
@@ -433,12 +430,10 @@ func (s *Server) dropRun(fp string, r *run) {
 }
 
 // lookup resolves a run id against in-process records first, then the
-// store — read-through: on a replicated store (shards pointing at each
-// other), an artifact computed by a peer is fetched, verified and served
-// as if it were local. The bool reports whether the id is known at all; a
-// malformed id cannot name anything, so it is "not found" rather than an
-// error (errors mean the store itself failed and map to 500).
-func (s *Server) lookup(ctx context.Context, id string) (*run, *fl.History, bool, error) {
+// store. The bool reports whether the id is known at all; a malformed id
+// cannot name anything, so it is "not found" rather than an error (errors
+// mean the store itself failed and map to 500).
+func (s *Server) lookup(id string) (*run, *fl.History, bool, error) {
 	if !store.ValidFingerprint(id) {
 		return nil, nil, false, nil
 	}
@@ -448,7 +443,7 @@ func (s *Server) lookup(ctx context.Context, id string) (*run, *fl.History, bool
 	if ok {
 		return r, nil, true, nil
 	}
-	hist, ok, err := s.cfg.Store.Fetch(ctx, id)
+	hist, ok, err := s.cfg.Store.Get(id)
 	if err != nil || !ok {
 		return nil, nil, false, err
 	}
@@ -457,7 +452,7 @@ func (s *Server) lookup(ctx context.Context, id string) (*run, *fl.History, bool
 
 func (s *Server) handleStatus(w http.ResponseWriter, req *http.Request) {
 	id := req.PathValue("id")
-	r, stored, ok, err := s.lookup(req.Context(), id)
+	r, stored, ok, err := s.lookup(id)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, "%v", err)
 		return
@@ -482,7 +477,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, req *http.Request) {
 // then a terminal "done" event carrying the final status.
 func (s *Server) handleEvents(w http.ResponseWriter, req *http.Request) {
 	id := req.PathValue("id")
-	r, stored, ok, err := s.lookup(req.Context(), id)
+	r, stored, ok, err := s.lookup(id)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, "%v", err)
 		return

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
-	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -43,10 +42,6 @@ type Stats struct {
 	Misses    int64 // Get found nothing
 	Puts      int64 // successful Put calls
 	Evictions int64 // LRU entries dropped to stay within capacity
-	// Read-through replication traffic (all zero without Replicate).
-	PeerHits   int64 // Fetch misses served by a peer, verified and persisted
-	PeerMisses int64 // peers that answered 404 for a fetched fingerprint
-	PeerErrors int64 // peer fetches dropped: transport, hash mismatch, bad decode
 }
 
 type entry struct {
@@ -65,10 +60,6 @@ type Store struct {
 	order *list.List // front = most recently used; element value is *entry
 	idx   map[string]*list.Element
 	stats Stats
-
-	// Read-through replication, set by Replicate; empty means Fetch == Get.
-	peers      []string
-	peerClient *http.Client
 
 	// Observation handles, set by Instrument; nil (no-op) until then.
 	getSeconds *obs.Histogram
@@ -181,9 +172,21 @@ func (s *Store) Put(fp string, h *fl.History) error {
 	if s.putSeconds != nil {
 		defer func(start time.Time) { s.putSeconds.Observe(time.Since(start).Seconds()) }(time.Now())
 	}
-	dir, err := s.ensureDir(fp)
-	if err != nil {
-		return err
+	dir := filepath.Dir(s.Path(fp))
+	newDir := false
+	if _, serr := os.Stat(dir); serr != nil {
+		newDir = true
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	if newDir {
+		// The prefix directory itself is a new entry in the root; make its
+		// creation durable so the renamed artifact below has a parent that
+		// survives a crash.
+		if err := SyncDir(s.root); err != nil {
+			return err
+		}
 	}
 	tmp, err := os.CreateTemp(dir, "."+fp[:8]+"-*.tmp")
 	if err != nil {
@@ -216,27 +219,6 @@ func (s *Store) Put(fp string, h *fl.History) error {
 	s.insertLocked(fp, h)
 	s.mu.Unlock()
 	return nil
-}
-
-// ensureDir creates (durably) the prefix directory an artifact for fp
-// lives in, returning its path. A fresh prefix directory is fsynced into
-// the root before use so the rename that later publishes the artifact has
-// a parent that survives a crash.
-func (s *Store) ensureDir(fp string) (string, error) {
-	dir := filepath.Dir(s.Path(fp))
-	newDir := false
-	if _, serr := os.Stat(dir); serr != nil {
-		newDir = true
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", fmt.Errorf("store: %w", err)
-	}
-	if newDir {
-		if err := SyncDir(s.root); err != nil {
-			return "", err
-		}
-	}
-	return dir, nil
 }
 
 // countingWriter counts bytes on their way to the underlying writer, so

@@ -7,11 +7,8 @@
 # /result responses are byte-for-byte identical (the env_cache counters are
 # stripped first: they live on whichever side builds environments, workers
 # remotely vs. the server pool locally — everything else must match
-# exactly: fingerprints, counts, groups, rendered table). Then SIGKILLs a
-# WAL-backed coordinator mid-sweep and asserts it recovers, and finally
-# boots a fingerprint-sharded topology (front router + 2 WAL shard
-# coordinators + spill-enabled workers) and asserts it too matches the
-# local reference byte-for-byte.
+# exactly: fingerprints, counts, groups, rendered table). Finally SIGKILLs
+# a WAL-backed coordinator mid-sweep and asserts it recovers.
 #
 #   scripts/smoke_dispatch.sh          # used by CI's dispatch-smoke job
 set -euo pipefail
@@ -193,62 +190,4 @@ wal_failed=$(jq -r .failed "$WORK/wal.json")
   || { echo "smoke_dispatch: post-recovery sweep: cached+computed=$wal_total failed=$wal_failed, want 4/0"; exit 1; }
 echo "   post-recovery sweep complete: cached+computed=$wal_total, 0 failed"
 
-echo "== sharded control plane: front router + 2 WAL shards"
-# Two WAL-backed shard coordinators partition the job space by fingerprint
-# prefix; a stateless front router owns the public API and proxies each
-# submit to the owning shard. One worker joins each shard with the full
-# shard list as its spill set. The sweep runs through the router and its
-# aggregate must match the local reference byte-for-byte, with every
-# artifact bit-identical to the local store's copy.
-S0_ADDR="127.0.0.1:18096"
-S1_ADDR="127.0.0.1:18097"
-RT_ADDR="127.0.0.1:18098"
-SHARD_URLS="http://$S0_ADDR,http://$S1_ADDR"
-
-"$WORK/fedserve" -remote -addr "$S0_ADDR" -store "$WORK/shard0-store" -lease 5s \
-  -shard-peers "$SHARD_URLS" -shard-index 0 -wal "$WORK/shard0.wal" 2>"$WORK/shard0.log" &
-PIDS+=($!)
-"$WORK/fedserve" -remote -addr "$S1_ADDR" -store "$WORK/shard1-store" -lease 5s \
-  -shard-peers "$SHARD_URLS" -shard-index 1 -wal "$WORK/shard1.wal" 2>"$WORK/shard1.log" &
-PIDS+=($!)
-wait_up "$S0_ADDR"
-wait_up "$S1_ADDR"
-"$WORK/fedserve" -remote -addr "$RT_ADDR" -store "$WORK/router-store" -lease 5s \
-  -shards "$SHARD_URLS" 2>"$WORK/router.log" &
-PIDS+=($!)
-wait_up "$RT_ADDR"
-
-# The shard map is public: every shard (and the router's members) agree on
-# a 2-way partition of the fingerprint space.
-nshards=$(curl -sf "http://$S0_ADDR/v1/shards" | jq '.shards | length')
-[ "$nshards" = 2 ] || { echo "smoke_dispatch: /v1/shards reports $nshards shards, want 2"; exit 1; }
-
-"$WORK/fedserve" -worker -join "http://$S0_ADDR" -name w4 -spill "$SHARD_URLS" &
-PIDS+=($!)
-"$WORK/fedserve" -worker -join "http://$S1_ADDR" -name w5 -spill "$SHARD_URLS" &
-PIDS+=($!)
-
-shard_id=$(curl -sf -X POST "http://$RT_ADDR/v1/sweeps" -d "$SWEEP" | jq -r .id)
-[ "$shard_id" = "$remote_id" ] || { echo "smoke_dispatch: sharded sweep id diverges: $shard_id vs $remote_id"; exit 1; }
-echo "   sweep $shard_id submitted through the front router"
-wait_result "$RT_ADDR" "$shard_id" "$WORK/sharded.json"
-
-jq -S 'del(.env_cache, .dispatch)' "$WORK/sharded.json" > "$WORK/sharded.canon.json"
-if ! cmp -s "$WORK/sharded.canon.json" "$WORK/local.canon.json"; then
-  echo "smoke_dispatch: sharded topology result diverges from the local backend:"
-  diff "$WORK/local.canon.json" "$WORK/sharded.canon.json" || true
-  exit 1
-fi
-
-# Every artifact the local reference produced must exist bit-identically on
-# whichever shard owns its fingerprint.
-for f in $(cd "$WORK/local-store" && find . -name '*.json'); do
-  if cmp -s "$WORK/local-store/$f" "$WORK/shard0-store/$f" 2>/dev/null \
-     || cmp -s "$WORK/local-store/$f" "$WORK/shard1-store/$f" 2>/dev/null; then
-    continue
-  fi
-  echo "smoke_dispatch: artifact $f missing or differing on both shards"; exit 1
-done
-echo "   sharded topology agrees with the local backend byte-for-byte"
-
-echo "smoke_dispatch: OK — remote (2 workers), sharded (router + 2 WAL shards) and local backends agree byte-for-byte, and a SIGKILLed WAL coordinator recovers mid-sweep"
+echo "smoke_dispatch: OK — remote (2 workers) and local backends agree byte-for-byte, and a SIGKILLed WAL coordinator recovers mid-sweep"
