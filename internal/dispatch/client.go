@@ -7,12 +7,10 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 	"time"
 
 	"fedwcm/internal/fl"
 	"fedwcm/internal/obs"
-	"fedwcm/internal/wire"
 )
 
 // ClientConfig wires a Client.
@@ -130,38 +128,17 @@ func (c *Client) post(job Job) (int, runStatus, error) {
 		return 0, runStatus{}, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("Accept", wire.ContentType)
 	req.Header.Set(obs.TraceHeader, job.ID)
 	resp, err := c.cfg.HTTPClient.Do(req)
 	if err != nil {
 		return 0, runStatus{}, fmt.Errorf("dispatch: submitting job %.12s: %w", job.ID, err)
 	}
 	defer resp.Body.Close()
-	rs, err := decodeRunStatus(resp)
-	if err != nil {
+	var rs runStatus
+	if err := json.NewDecoder(resp.Body).Decode(&rs); err != nil {
 		return resp.StatusCode, runStatus{}, fmt.Errorf("dispatch: decoding submit response: %w", err)
 	}
 	return resp.StatusCode, rs, nil
-}
-
-// decodeRunStatus reads a run status body in whichever encoding the server
-// chose: the binary wire codec when it honoured our Accept header, JSON
-// otherwise (older servers, and every error body — those always stay JSON).
-func decodeRunStatus(resp *http.Response) (runStatus, error) {
-	if strings.HasPrefix(resp.Header.Get("Content-Type"), wire.ContentType) {
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			return runStatus{}, err
-		}
-		rs, err := wire.DecodeRunStatus(body)
-		if err != nil {
-			return runStatus{}, err
-		}
-		return runStatus{ID: rs.ID, Status: rs.Status, Progress: rs.Progress, History: rs.History, Error: rs.Error}, nil
-	}
-	var rs runStatus
-	err := json.NewDecoder(resp.Body).Decode(&rs)
-	return rs, err
 }
 
 // poll drives the handle to completion off the status endpoint, relaying
@@ -184,7 +161,6 @@ func (c *Client) poll(h *handle, opts SubmitOpts) {
 			h.complete(nil, err)
 			return
 		}
-		req.Header.Set("Accept", wire.ContentType)
 		resp, err := c.cfg.HTTPClient.Do(req)
 		if err != nil {
 			if c.ctx.Err() != nil {
@@ -194,7 +170,8 @@ func (c *Client) poll(h *handle, opts SubmitOpts) {
 			c.cfg.Logf("dispatch: polling job %.12s: %v", h.job.ID, err)
 			continue // transient; next tick retries
 		}
-		rs, derr := decodeRunStatus(resp)
+		var rs runStatus
+		derr := json.NewDecoder(resp.Body).Decode(&rs)
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode == http.StatusNotFound {

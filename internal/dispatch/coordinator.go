@@ -1,12 +1,13 @@
 package dispatch
 
 import (
+	"bytes"
+	"compress/gzip"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 	"sync"
 	"time"
 
@@ -14,7 +15,6 @@ import (
 	"fedwcm/internal/fl"
 	"fedwcm/internal/obs"
 	"fedwcm/internal/store"
-	"fedwcm/internal/wire"
 )
 
 // CoordinatorConfig wires a Coordinator.
@@ -641,11 +641,49 @@ type resultResponse struct {
 	Status string `json:"status"` // "stored", "duplicate" or "failed"
 }
 
-// isWire reports whether the request body carries the binary wire codec
-// (internal/wire). Anything else falls back to JSON, so old workers keep
-// talking to a new coordinator.
-func isWire(req *http.Request) bool {
-	return strings.HasPrefix(req.Header.Get("Content-Type"), wire.ContentType)
+// maxBodyBytes caps a worker-protocol request body, before and after
+// decompression. gzip expands input up to ~1000×, so without a cap a few
+// kilobytes could make the coordinator allocate gigabytes; 64 MiB is far
+// above any real upload (the 100-round reference history is ~28 KB of
+// JSON).
+const maxBodyBytes = 64 << 20
+
+// gzipReaders recycles gunzip state (the inflate window) across uploads.
+var gzipReaders sync.Pool
+
+// decodeBody unmarshals a worker-protocol request body into v, gunzipping
+// it first when the request carries Content-Encoding: gzip, and returns
+// the body's size on the wire. An empty body yields io.EOF; one past
+// maxBodyBytes yields *http.MaxBytesError.
+func decodeBody(w http.ResponseWriter, req *http.Request, v any) (int, error) {
+	raw, err := io.ReadAll(http.MaxBytesReader(w, req.Body, maxBodyBytes))
+	if err != nil {
+		return len(raw), err
+	}
+	var r io.Reader = bytes.NewReader(raw)
+	if req.Header.Get("Content-Encoding") == "gzip" {
+		zr, _ := gzipReaders.Get().(*gzip.Reader)
+		if zr == nil {
+			zr = new(gzip.Reader)
+		}
+		defer gzipReaders.Put(zr)
+		if err := zr.Reset(r); err != nil {
+			return len(raw), err
+		}
+		r = zr
+	}
+	return len(raw), json.NewDecoder(http.MaxBytesReader(w, io.NopCloser(r), maxBodyBytes)).Decode(v)
+}
+
+// bodyError answers a decodeBody failure: 413 past the size cap, 400
+// otherwise.
+func bodyError(w http.ResponseWriter, what string, err error) {
+	code := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	httpErr(w, code, "decoding %s: %v", what, err)
 }
 
 // errorBody mirrors internal/serve's error shape so worker-endpoint errors
@@ -682,8 +720,8 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, req *http.Request) {
 	// An empty body is a valid registration (defaults apply: anonymous
 	// worker, one slot) — the decoder's io.EOF on zero bytes is not an
 	// error, matching handleLease/handleHeartbeat. Malformed JSON still 400s.
-	if err := json.NewDecoder(req.Body).Decode(&r); err != nil && !errors.Is(err, io.EOF) {
-		httpErr(w, http.StatusBadRequest, "decoding registration: %v", err)
+	if _, err := decodeBody(w, req, &r); err != nil && !errors.Is(err, io.EOF) {
+		bodyError(w, "registration", err)
 		return
 	}
 	if r.Slots <= 0 {
@@ -750,11 +788,9 @@ func (c *Coordinator) handleDeregister(w http.ResponseWriter, req *http.Request)
 func (c *Coordinator) handleLease(w http.ResponseWriter, req *http.Request) {
 	id := req.PathValue("id")
 	var lr leaseRequest
-	if req.ContentLength != 0 {
-		if err := json.NewDecoder(req.Body).Decode(&lr); err != nil {
-			httpErr(w, http.StatusBadRequest, "decoding lease request: %v", err)
-			return
-		}
+	if _, err := decodeBody(w, req, &lr); err != nil && !errors.Is(err, io.EOF) {
+		bodyError(w, "lease request", err)
+		return
 	}
 	wait := time.Duration(lr.WaitMS) * time.Millisecond
 	if wait > 30*time.Second {
@@ -851,25 +887,12 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, req *http.Request) {
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, req *http.Request) {
 	wid, jid := req.PathValue("id"), req.PathValue("job")
 	var hb heartbeatRequest
-	if req.ContentLength != 0 {
-		if isWire(req) {
-			body, err := io.ReadAll(req.Body)
-			if err != nil {
-				httpErr(w, http.StatusBadRequest, "reading heartbeat: %v", err)
-				return
-			}
-			start := time.Now()
-			rounds, err := wire.DecodeStats(body)
-			if err != nil {
-				httpErr(w, http.StatusBadRequest, "decoding heartbeat: %v", err)
-				return
-			}
-			c.cm.wire.observeDecode("stats", len(body), time.Since(start).Seconds())
-			hb.Rounds = rounds
-		} else if err := json.NewDecoder(req.Body).Decode(&hb); err != nil {
-			httpErr(w, http.StatusBadRequest, "decoding heartbeat: %v", err)
-			return
-		}
+	start := time.Now()
+	if n, err := decodeBody(w, req, &hb); err == nil {
+		c.cm.wire.observeDecode("stats", n, time.Since(start).Seconds())
+	} else if !errors.Is(err, io.EOF) {
+		bodyError(w, "heartbeat", err)
+		return
 	}
 	c.mu.Lock()
 	wk, ok := c.workers[wid]
@@ -957,24 +980,13 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, req *http.Request) 
 func (c *Coordinator) handleResult(w http.ResponseWriter, req *http.Request) {
 	wid, jid := req.PathValue("id"), req.PathValue("job")
 	var rr resultRequest
-	if isWire(req) {
-		body, err := io.ReadAll(req.Body)
-		if err != nil {
-			httpErr(w, http.StatusBadRequest, "reading result: %v", err)
-			return
-		}
-		start := time.Now()
-		hist, errMsg, derr := wire.DecodeResult(body)
-		if derr != nil {
-			httpErr(w, http.StatusBadRequest, "decoding result: %v", derr)
-			return
-		}
-		c.cm.wire.observeDecode("result", len(body), time.Since(start).Seconds())
-		rr = resultRequest{History: hist, Error: errMsg}
-	} else if err := json.NewDecoder(req.Body).Decode(&rr); err != nil {
-		httpErr(w, http.StatusBadRequest, "decoding result: %v", err)
+	start := time.Now()
+	n, err := decodeBody(w, req, &rr)
+	if err != nil {
+		bodyError(w, "result", err)
 		return
 	}
+	c.cm.wire.observeDecode("result", n, time.Since(start).Seconds())
 	c.mu.Lock()
 	if wk, ok := c.workers[wid]; ok {
 		wk.lastSeen = time.Now()

@@ -2,12 +2,15 @@ package dispatch
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -153,6 +156,74 @@ func TestCoordinatorLeaseLifecycle(t *testing.T) {
 	}
 	if _, ok, _ := h.store.Get(job.ID); !ok {
 		t.Fatal("artifact missing from the store after upload")
+	}
+}
+
+// TestHeartbeatRelaysExactProgress: progress a real worker heartbeats
+// reaches OnRound bit-for-bit, per-class accuracies included — remote
+// progress is exactly what the runner (and a local run) reports.
+func TestHeartbeatRelaysExactProgress(t *testing.T) {
+	h := newCoordHarness(t, CoordinatorConfig{LeaseTTL: 2 * time.Second})
+	want := fl.RoundStat{
+		Round: 1, TestAcc: 1.0 / 3, TrainLoss: math.Pi,
+		PerClass: []float64{1.0 / 3, 0.1, 2.0 / 7, 5e-324, math.Copysign(0, -1), 0x1.fffffffffffffp-2},
+	}
+	var (
+		mu      sync.Mutex
+		relayed []fl.RoundStat
+		once    sync.Once
+	)
+	beat := make(chan struct{})
+	hd, err := h.coord.Submit(testJob(30), SubmitOpts{OnRound: func(st fl.RoundStat) {
+		mu.Lock()
+		relayed = append(relayed, st)
+		mu.Unlock()
+		once.Do(func() { close(beat) })
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := NewWorker(WorkerConfig{
+		Coordinator:    h.ts.URL,
+		HeartbeatEvery: 20 * time.Millisecond,
+		PollWait:       200 * time.Millisecond,
+		Logf:           t.Logf,
+		Runner: func(ctx context.Context, job Job, onRound func(fl.RoundStat)) (*fl.History, error) {
+			onRound(want)
+			// Finish only after a heartbeat relayed the round, so it cannot
+			// reach the subscriber through the result backfill instead.
+			select {
+			case <-beat:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+			return &fl.History{Method: "fedavg", Stats: []fl.RoundStat{want}}, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go w.Run(ctx)
+	if _, err := waitDone(t, hd); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(relayed) != 1 {
+		t.Fatalf("relayed %d rounds, want 1", len(relayed))
+	}
+	got := relayed[0]
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	if got.Round != want.Round || !same(got.TestAcc, want.TestAcc) || !same(got.TrainLoss, want.TrainLoss) || len(got.PerClass) != len(want.PerClass) {
+		t.Fatalf("relayed %+v, want %+v", got, want)
+	}
+	for i := range want.PerClass {
+		if !same(got.PerClass[i], want.PerClass[i]) {
+			t.Fatalf("PerClass[%d] relayed as %v (%#x), runner reported %v (%#x)",
+				i, got.PerClass[i], math.Float64bits(got.PerClass[i]), want.PerClass[i], math.Float64bits(want.PerClass[i]))
+		}
 	}
 }
 

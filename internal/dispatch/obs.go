@@ -17,7 +17,7 @@ type coordMetrics struct {
 	dup       *obs.Counter    // idempotent duplicate uploads
 	uploads   *obs.CounterVec // result uploads by terminal status
 	slotsBusy *obs.GaugeVec   // in-flight leases per worker
-	wire      wireMetrics     // binary-transport ingest accounting
+	wire      wireMetrics     // upload ingest accounting
 	// Durability series (all zero on an in-memory coordinator).
 	reattached     *obs.Counter // leases adopted by re-attaching workers
 	walRecords     *obs.Counter // records journaled to the WAL
@@ -25,10 +25,11 @@ type coordMetrics struct {
 	walCheckpoints *obs.Counter // WAL compactions (startup + every WALCompactEvery completes)
 }
 
-// wireMetrics instruments the binary wire codec (internal/wire) wherever a
-// component encodes or decodes it. The same family names are registered by
-// the coordinator (rx), the worker (tx) and the serve layer (tx), so a
-// shared registry shows one fedwcm_wire_bytes_total across the process.
+// wireMetrics instruments the transport encoding — JSON, gzipped on worker
+// uploads — wherever a component encodes or decodes a body. The same family
+// names are registered by the coordinator (rx), the worker (tx) and the
+// serve layer (tx), so a shared registry shows one fedwcm_wire_bytes_total
+// across the process.
 type wireMetrics struct {
 	bytes  *obs.CounterVec // payload bytes by message kind and direction
 	encode *obs.Histogram  // encode latency, seconds
@@ -40,9 +41,9 @@ func newWireMetrics(reg *obs.Registry) wireMetrics {
 		return wireMetrics{}
 	}
 	return wireMetrics{
-		bytes:  reg.CounterVec("fedwcm_wire_bytes_total", "Wire-codec payload bytes moved, by message kind and direction (tx/rx).", "kind", "dir"),
-		encode: reg.Histogram("fedwcm_wire_encode_seconds", "Latency of wire-codec encodes.", nil),
-		decode: reg.Histogram("fedwcm_wire_decode_seconds", "Latency of wire-codec decodes.", nil),
+		bytes:  reg.CounterVec("fedwcm_wire_bytes_total", "Body bytes moved as sent (gzip-compressed where gzipped), by message kind and direction (tx/rx).", "kind", "dir"),
+		encode: reg.Histogram("fedwcm_wire_encode_seconds", "Latency of body encodes (JSON marshal, plus gzip where gzipped).", nil),
+		decode: reg.Histogram("fedwcm_wire_decode_seconds", "Latency of body decodes (gunzip + JSON unmarshal).", nil),
 	}
 }
 
@@ -109,7 +110,7 @@ type workerMetrics struct {
 	heartbeats *obs.Counter
 	leaseLost  *obs.Counter
 	uploads    *obs.CounterVec // by coordinator ack status
-	wire       wireMetrics     // binary-transport upload accounting
+	wire       wireMetrics     // upload encode accounting
 }
 
 func newWorkerMetrics(reg *obs.Registry) workerMetrics {

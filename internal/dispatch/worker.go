@@ -2,6 +2,7 @@ package dispatch
 
 import (
 	"bytes"
+	"compress/gzip"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -13,7 +14,6 @@ import (
 
 	"fedwcm/internal/fl"
 	"fedwcm/internal/obs"
-	"fedwcm/internal/wire"
 )
 
 // WorkerConfig wires a Worker.
@@ -57,6 +57,12 @@ type Worker struct {
 
 	regMu sync.Mutex // single-flights re-registration across slot loops
 
+	// gz compresses heartbeat and result bodies. It is long-lived because a
+	// gzip writer's deflate state is ~0.8 MB: building it per upload would
+	// dominate the worker's allocations.
+	gzMu sync.Mutex
+	gz   *gzip.Writer
+
 	wm workerMetrics
 }
 
@@ -88,7 +94,27 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.Metrics == nil {
 		cfg.Metrics = obs.Default()
 	}
-	return &Worker{cfg: cfg, wm: newWorkerMetrics(cfg.Metrics)}, nil
+	// A constant valid level cannot fail. Close allocates the deflate state
+	// now instead of inside the first upload.
+	gz, _ := gzip.NewWriterLevel(io.Discard, gzip.BestCompression)
+	gz.Close()
+	return &Worker{cfg: cfg, gz: gz, wm: newWorkerMetrics(cfg.Metrics)}, nil
+}
+
+// encode marshals an upload body to JSON and gzips it. The error is
+// json.Marshal's: JSON has no NaN or ±Inf.
+func (w *Worker) encode(v any) ([]byte, error) {
+	b, err := json.Marshal(v)
+	if err != nil {
+		return nil, err
+	}
+	var buf bytes.Buffer
+	w.gzMu.Lock()
+	defer w.gzMu.Unlock()
+	w.gz.Reset(&buf)
+	w.gz.Write(b) // writes into a bytes.Buffer cannot fail
+	w.gz.Close()
+	return buf.Bytes(), nil
 }
 
 // jitter scales d by a uniform factor in [0.8, 1.2). N workers whose empty
@@ -332,13 +358,13 @@ func (w *Worker) execute(ctx context.Context, job Job, id string) {
 				return
 			case <-t.C:
 				batch := drain()
-				// Heartbeats ride the binary codec with float16 per-class
-				// accuracy: the relay feeds dashboards and progress polls only,
-				// never the store, so monitoring precision is enough.
 				start := time.Now()
-				body := wire.EncodeStats(batch, wire.StatsOptions{QuantizePerClass: true})
+				// A batch JSON cannot encode (a diverged NaN loss) goes out as
+				// an empty body: the beat still extends the lease, and the
+				// result upload reports the failure.
+				body, _ := w.encode(heartbeatRequest{Rounds: batch})
 				w.wm.wire.observeEncode("stats", len(body), time.Since(start).Seconds())
-				code, err := w.postWire(jobCtx, hbURL, job.ID, body, nil)
+				code, err := w.post(jobCtx, hbURL, job.ID, "gzip", body, nil)
 				if err == nil && code == http.StatusOK {
 					w.wm.heartbeats.Inc()
 				}
@@ -400,16 +426,19 @@ func (w *Worker) execute(ctx context.Context, job Job, id string) {
 		// it; an aborted partial run must not be uploaded as a failure.
 		return
 	}
-	// The result upload uses the codec's lossless profile: the decoded
-	// history is bit-identical, so the artifact the coordinator stores (and
-	// its content address) matches a local-backend run exactly.
 	errMsg := ""
 	if err != nil {
 		hist = nil
 		errMsg = err.Error()
 	}
 	encStart := time.Now()
-	resBody := wire.EncodeResult(hist, errMsg)
+	resBody, encErr := w.encode(resultRequest{History: hist, Error: errMsg})
+	if encErr != nil {
+		// JSON has no NaN or ±Inf, so a diverged history can neither travel
+		// nor be stored. Upload the encode error instead: the job fails on
+		// this lease rather than expiring and retrying to the same end.
+		resBody, _ = w.encode(resultRequest{Error: encErr.Error()})
+	}
 	w.wm.wire.observeEncode("result", len(resBody), time.Since(encStart).Seconds())
 	// A run that finished uploads even while the worker shuts down — the
 	// work is done, shipping it beats making a survivor redo it.
@@ -422,7 +451,7 @@ func (w *Worker) execute(ctx context.Context, job Job, id string) {
 	resURL := fmt.Sprintf("%s/v1/workers/%s/jobs/%s/result", w.cfg.Coordinator, curID, job.ID)
 	var ack resultResponse
 	for attempt := 0; attempt < 3; attempt++ {
-		code, uerr := w.postWire(upCtx, resURL, job.ID, resBody, &ack)
+		code, uerr := w.post(upCtx, resURL, job.ID, "gzip", resBody, &ack)
 		if uerr == nil && code < 500 {
 			if code >= 400 {
 				w.wm.uploads.With("rejected").Inc()
@@ -455,21 +484,20 @@ func (w *Worker) postJSON(ctx context.Context, url, trace string, body, out any)
 	if err != nil {
 		return 0, err
 	}
-	return w.post(ctx, url, trace, "application/json", b, out)
+	return w.post(ctx, url, trace, "", b, out)
 }
 
-// postWire posts a pre-encoded wire-codec payload (responses stay JSON —
-// acks are a handful of bytes).
-func (w *Worker) postWire(ctx context.Context, url, trace string, body []byte, out any) (int, error) {
-	return w.post(ctx, url, trace, wire.ContentType, body, out)
-}
-
-func (w *Worker) post(ctx context.Context, url, trace, contentType string, body []byte, out any) (int, error) {
+// post sends a JSON body, gzipped when encoding is "gzip" (a body from
+// encode); responses are always plain JSON.
+func (w *Worker) post(ctx context.Context, url, trace, encoding string, body []byte, out any) (int, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
 		return 0, err
 	}
-	req.Header.Set("Content-Type", contentType)
+	req.Header.Set("Content-Type", "application/json")
+	if encoding != "" {
+		req.Header.Set("Content-Encoding", encoding)
+	}
 	if trace != "" {
 		req.Header.Set(obs.TraceHeader, trace)
 	}

@@ -3,6 +3,8 @@ package dispatch
 import (
 	"context"
 	"encoding/json"
+	"math"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -185,6 +187,38 @@ func TestWorkerShutdownDeregisters(t *testing.T) {
 	startWorker(t, h, echoRunner(nil), 1)
 	if _, err := waitDone(t, hd); err != nil {
 		t.Fatalf("job lost across graceful worker shutdown: %v", err)
+	}
+}
+
+// TestUnencodableResultFailsOnFirstLease: JSON has no NaN, so a diverged
+// history cannot be uploaded (nor stored). The worker reports the encode
+// error instead, and the job fails on its first lease rather than expiring
+// and retrying to the same end. Heartbeats carrying the NaN round still
+// keep the lease alive meanwhile.
+func TestUnencodableResultFailsOnFirstLease(t *testing.T) {
+	h := newCoordHarness(t, CoordinatorConfig{LeaseTTL: 600 * time.Millisecond})
+	var execs atomic.Int64
+	startWorker(t, h, func(ctx context.Context, job Job, onRound func(fl.RoundStat)) (*fl.History, error) {
+		execs.Add(1)
+		st := fl.RoundStat{Round: 1, TestAcc: 0.1, TrainLoss: math.NaN()}
+		onRound(st)
+		time.Sleep(time.Second) // outlives the TTL: only heartbeats keep the lease
+		return &fl.History{Method: "fedavg", Stats: []fl.RoundStat{st}}, nil
+	}, 1)
+
+	job := testJob(50)
+	hd, err := h.coord.Submit(job, SubmitOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := waitDone(t, hd); err == nil || !strings.Contains(err.Error(), "unsupported value: NaN") {
+		t.Fatalf("handle error %v, want the JSON encode error", err)
+	}
+	if n := execs.Load(); n != 1 {
+		t.Fatalf("job was leased %d times, want exactly 1", n)
+	}
+	if _, ok, _ := h.store.Get(job.ID); ok {
+		t.Fatal("an unencodable history reached the store")
 	}
 }
 

@@ -13,7 +13,7 @@ type serveMetrics struct {
 	sseSweeps *obs.Gauge      // live /v1/sweeps/{id}/events subscribers
 	cells     *obs.CounterVec // sweep cells reaching a terminal state, by status
 
-	// Binary-transport accounting for Accept-negotiated run responses. The
+	// Transport accounting for run-status bodies (kind="runstatus"). The
 	// same family names are registered by dispatch's coordinator and worker;
 	// on a shared registry they resolve to one family.
 	wireBytes  *obs.CounterVec
@@ -39,15 +39,15 @@ func newServeMetrics(reg *obs.Registry, s *Server) serveMetrics {
 		sseRuns:    reg.Gauge("fedwcm_serve_sse_run_subscribers", "Open SSE streams on /v1/runs/{id}/events."),
 		sseSweeps:  reg.Gauge("fedwcm_serve_sse_sweep_subscribers", "Open SSE streams on /v1/sweeps/{id}/events."),
 		cells:      reg.CounterVec("fedwcm_serve_sweep_cells_total", "Sweep cells reaching a terminal state, by status.", "status"),
-		wireBytes:  reg.CounterVec("fedwcm_wire_bytes_total", "Wire-codec payload bytes moved, by message kind and direction (tx/rx).", "kind", "dir"),
-		wireEncode: reg.Histogram("fedwcm_wire_encode_seconds", "Latency of wire-codec encodes.", nil),
+		wireBytes:  reg.CounterVec("fedwcm_wire_bytes_total", "Body bytes moved as sent (gzip-compressed where gzipped), by message kind and direction (tx/rx).", "kind", "dir"),
+		wireEncode: reg.Histogram("fedwcm_wire_encode_seconds", "Latency of body encodes (JSON marshal, plus gzip where gzipped).", nil),
 	}
 }
 
 // noteCell counts one terminal sweep cell; call exactly where finishCell is.
 func (sm serveMetrics) noteCell(status string) { sm.cells.With(status).Inc() }
 
-// observeWireEncode counts one wire-encoded response body (nil-safe on an
+// observeWireEncode counts one encoded response body (nil-safe on an
 // unmetered server).
 func (sm serveMetrics) observeWireEncode(kind string, n int, seconds float64) {
 	if sm.wireBytes == nil {

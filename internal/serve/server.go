@@ -42,7 +42,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strings"
 	"sync"
 	"time"
 
@@ -54,7 +53,6 @@ import (
 	"fedwcm/internal/obs"
 	"fedwcm/internal/store"
 	"fedwcm/internal/sweep"
-	"fedwcm/internal/wire"
 )
 
 // Runner executes one spec, reporting per-round progress and honouring ctx
@@ -252,7 +250,8 @@ type runResponse struct {
 // writeJSON encodes v before touching the response so an encode failure
 // (e.g. a NaN in a diverged run's history — json.Marshal rejects NaN) turns
 // into a well-formed 500 instead of a 200 with a truncated body.
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// writeJSON writes v as the response body and returns the body's size.
+func writeJSON(w http.ResponseWriter, code int, v any) int {
 	b, err := json.Marshal(v)
 	if err != nil {
 		b, _ = json.Marshal(map[string]string{"error": "encoding response: " + err.Error()})
@@ -261,34 +260,19 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	w.Write(append(b, '\n'))
+	return len(b) + 1
 }
 
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// writeRun writes a run status response in whichever encoding the client
-// asked for: clients that list wire.ContentType in Accept (the dispatch
-// client does) get the compact binary codec, everyone else gets the JSON
-// shape unchanged. Errors keep flowing through httpError as JSON either
-// way — only success bodies are worth compressing.
-func (s *Server) writeRun(w http.ResponseWriter, req *http.Request, code int, rr runResponse) {
-	if !strings.Contains(req.Header.Get("Accept"), wire.ContentType) {
-		writeJSON(w, code, rr)
-		return
-	}
+// writeRun writes a run status response, counting its body under the
+// transport metrics (kind="runstatus").
+func (s *Server) writeRun(w http.ResponseWriter, code int, rr runResponse) {
 	start := time.Now()
-	body := wire.EncodeRunStatus(&wire.RunStatus{
-		ID:       rr.ID,
-		Status:   rr.Status,
-		Error:    rr.Error,
-		Progress: rr.Progress,
-		History:  rr.History,
-	})
-	s.sm.observeWireEncode("runstatus", len(body), time.Since(start).Seconds())
-	w.Header().Set("Content-Type", wire.ContentType)
-	w.WriteHeader(code)
-	w.Write(body)
+	n := writeJSON(w, code, rr)
+	s.sm.observeWireEncode("runstatus", n, time.Since(start).Seconds())
 }
 
 // Sentinel failures from ensureCell, mapped to HTTP statuses by the
@@ -413,9 +397,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	case err != nil:
 		httpError(w, http.StatusInternalServerError, "%v", err)
 	case hist != nil:
-		s.writeRun(w, req, http.StatusOK, runResponse{ID: fp, Status: StatusCached, History: hist})
+		s.writeRun(w, http.StatusOK, runResponse{ID: fp, Status: StatusCached, History: hist})
 	default:
-		s.writeRun(w, req, http.StatusAccepted, runResponse{ID: fp, Status: status})
+		s.writeRun(w, http.StatusAccepted, runResponse{ID: fp, Status: status})
 	}
 }
 
@@ -462,14 +446,14 @@ func (s *Server) handleStatus(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	if r == nil {
-		s.writeRun(w, req, http.StatusOK, runResponse{ID: id, Status: StatusCached, History: stored})
+		s.writeRun(w, http.StatusOK, runResponse{ID: id, Status: StatusCached, History: stored})
 		return
 	}
 	status, progress, hist, errMsg := r.snapshot()
 	if hist != nil {
 		progress = nil // history carries the same stats; don't send both
 	}
-	s.writeRun(w, req, http.StatusOK, runResponse{ID: id, Status: status, Progress: progress, History: hist, Error: errMsg})
+	s.writeRun(w, http.StatusOK, runResponse{ID: id, Status: status, Progress: progress, History: hist, Error: errMsg})
 }
 
 // handleEvents streams per-round progress as Server-Sent Events: one

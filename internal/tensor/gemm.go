@@ -12,7 +12,7 @@ import "sync"
 // inputs. (The only observable difference is that the reference kernels
 // skip av == 0 rows while the tiled path multiplies them through; since a
 // running sum that starts at +0 can never become -0, adding the resulting
-// ±0 products is a bit-exact no-op. See DESIGN.md "Kernels & wire format".)
+// ±0 products is a bit-exact no-op. See DESIGN.md "Kernels & transport".)
 //
 // Layout: gemmBlock computes dst[r][c] += Σ_p a[r][p]·b[p][c] over
 // row-major operands with explicit element strides, split into mr×nr
