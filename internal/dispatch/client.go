@@ -3,14 +3,13 @@ package dispatch
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"time"
 
-	"fedwcm/internal/fl"
 	"fedwcm/internal/obs"
+	"fedwcm/internal/wire"
 )
 
 // ClientConfig wires a Client.
@@ -46,15 +45,6 @@ const (
 	runFailed  = "failed"
 	runCached  = "cached"
 )
-
-// runStatus mirrors serve's runResponse wire shape.
-type runStatus struct {
-	ID       string         `json:"id"`
-	Status   string         `json:"status"`
-	Progress []fl.RoundStat `json:"progress,omitempty"`
-	History  *fl.History    `json:"history,omitempty"`
-	Error    string         `json:"error,omitempty"`
-}
 
 // NewClient returns a client executor for the server at cfg.BaseURL.
 func NewClient(cfg ClientConfig) (*Client, error) {
@@ -122,21 +112,21 @@ func (c *Client) Submit(job Job, opts SubmitOpts) (Handle, error) {
 	}
 }
 
-func (c *Client) post(job Job) (int, runStatus, error) {
+func (c *Client) post(job Job) (int, wire.RunStatus, error) {
 	req, err := http.NewRequestWithContext(c.ctx, http.MethodPost, c.cfg.BaseURL+"/v1/runs", bytes.NewReader(job.Spec))
 	if err != nil {
-		return 0, runStatus{}, err
+		return 0, wire.RunStatus{}, err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set(obs.TraceHeader, job.ID)
 	resp, err := c.cfg.HTTPClient.Do(req)
 	if err != nil {
-		return 0, runStatus{}, fmt.Errorf("dispatch: submitting job %.12s: %w", job.ID, err)
+		return 0, wire.RunStatus{}, fmt.Errorf("dispatch: submitting job %.12s: %w", job.ID, err)
 	}
 	defer resp.Body.Close()
-	var rs runStatus
-	if err := json.NewDecoder(resp.Body).Decode(&rs); err != nil {
-		return resp.StatusCode, runStatus{}, fmt.Errorf("dispatch: decoding submit response: %w", err)
+	var rs wire.RunStatus
+	if _, err := wire.Decode(resp.Body, false, &rs); err != nil {
+		return resp.StatusCode, wire.RunStatus{}, fmt.Errorf("dispatch: decoding submit response: %w", err)
 	}
 	return resp.StatusCode, rs, nil
 }
@@ -170,8 +160,8 @@ func (c *Client) poll(h *handle, opts SubmitOpts) {
 			c.cfg.Logf("dispatch: polling job %.12s: %v", h.job.ID, err)
 			continue // transient; next tick retries
 		}
-		var rs runStatus
-		derr := json.NewDecoder(resp.Body).Decode(&rs)
+		var rs wire.RunStatus
+		_, derr := wire.Decode(resp.Body, false, &rs)
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode == http.StatusNotFound {

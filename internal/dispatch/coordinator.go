@@ -1,8 +1,6 @@
 package dispatch
 
 import (
-	"bytes"
-	"compress/gzip"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -15,6 +13,7 @@ import (
 	"fedwcm/internal/fl"
 	"fedwcm/internal/obs"
 	"fedwcm/internal/store"
+	"fedwcm/internal/wire"
 )
 
 // CoordinatorConfig wires a Coordinator.
@@ -626,61 +625,22 @@ type leaseResponse struct {
 	Job Job `json:"job"`
 }
 
-type heartbeatRequest struct {
-	// Rounds carries the stats recorded since the previous heartbeat; the
-	// coordinator relays them to the job's progress subscribers.
-	Rounds []fl.RoundStat `json:"rounds,omitempty"`
-}
-
-type resultRequest struct {
-	History *fl.History `json:"history,omitempty"`
-	Error   string      `json:"error,omitempty"`
-}
-
 type resultResponse struct {
 	Status string `json:"status"` // "stored", "duplicate" or "failed"
 }
 
-// maxBodyBytes caps a worker-protocol request body, before and after
-// decompression. gzip expands input up to ~1000×, so without a cap a few
-// kilobytes could make the coordinator allocate gigabytes; 64 MiB is far
-// above any real upload (the 100-round reference history is ~28 KB of
-// JSON).
-const maxBodyBytes = 64 << 20
-
-// gzipReaders recycles gunzip state (the inflate window) across uploads.
-var gzipReaders sync.Pool
-
 // decodeBody unmarshals a worker-protocol request body into v, gunzipping
 // it first when the request carries Content-Encoding: gzip, and returns
-// the body's size on the wire. An empty body yields io.EOF; one past
-// maxBodyBytes yields *http.MaxBytesError.
-func decodeBody(w http.ResponseWriter, req *http.Request, v any) (int, error) {
-	raw, err := io.ReadAll(http.MaxBytesReader(w, req.Body, maxBodyBytes))
-	if err != nil {
-		return len(raw), err
-	}
-	var r io.Reader = bytes.NewReader(raw)
-	if req.Header.Get("Content-Encoding") == "gzip" {
-		zr, _ := gzipReaders.Get().(*gzip.Reader)
-		if zr == nil {
-			zr = new(gzip.Reader)
-		}
-		defer gzipReaders.Put(zr)
-		if err := zr.Reset(r); err != nil {
-			return len(raw), err
-		}
-		r = zr
-	}
-	return len(raw), json.NewDecoder(http.MaxBytesReader(w, io.NopCloser(r), maxBodyBytes)).Decode(v)
+// the body's size on the wire (see wire.Decode).
+func decodeBody(req *http.Request, v any) (int, error) {
+	return wire.Decode(req.Body, req.Header.Get("Content-Encoding") == "gzip", v)
 }
 
 // bodyError answers a decodeBody failure: 413 past the size cap, 400
 // otherwise.
 func bodyError(w http.ResponseWriter, what string, err error) {
 	code := http.StatusBadRequest
-	var tooBig *http.MaxBytesError
-	if errors.As(err, &tooBig) {
+	if errors.Is(err, wire.ErrTooLarge) {
 		code = http.StatusRequestEntityTooLarge
 	}
 	httpErr(w, code, "decoding %s: %v", what, err)
@@ -720,7 +680,7 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, req *http.Request) {
 	// An empty body is a valid registration (defaults apply: anonymous
 	// worker, one slot) — the decoder's io.EOF on zero bytes is not an
 	// error, matching handleLease/handleHeartbeat. Malformed JSON still 400s.
-	if _, err := decodeBody(w, req, &r); err != nil && !errors.Is(err, io.EOF) {
+	if _, err := decodeBody(req, &r); err != nil && !errors.Is(err, io.EOF) {
 		bodyError(w, "registration", err)
 		return
 	}
@@ -788,7 +748,7 @@ func (c *Coordinator) handleDeregister(w http.ResponseWriter, req *http.Request)
 func (c *Coordinator) handleLease(w http.ResponseWriter, req *http.Request) {
 	id := req.PathValue("id")
 	var lr leaseRequest
-	if _, err := decodeBody(w, req, &lr); err != nil && !errors.Is(err, io.EOF) {
+	if _, err := decodeBody(req, &lr); err != nil && !errors.Is(err, io.EOF) {
 		bodyError(w, "lease request", err)
 		return
 	}
@@ -886,9 +846,9 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, req *http.Request) {
 // incarnation delivered — the result upload backfills the full history.
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, req *http.Request) {
 	wid, jid := req.PathValue("id"), req.PathValue("job")
-	var hb heartbeatRequest
+	var hb wire.Stats
 	start := time.Now()
-	if n, err := decodeBody(w, req, &hb); err == nil {
+	if n, err := decodeBody(req, &hb); err == nil {
 		c.cm.wire.observeDecode("stats", n, time.Since(start).Seconds())
 	} else if !errors.Is(err, io.EOF) {
 		bodyError(w, "heartbeat", err)
@@ -979,9 +939,9 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, req *http.Request) 
 // expired mid-upload, is acknowledged without a second store write.
 func (c *Coordinator) handleResult(w http.ResponseWriter, req *http.Request) {
 	wid, jid := req.PathValue("id"), req.PathValue("job")
-	var rr resultRequest
+	var rr wire.Result
 	start := time.Now()
-	n, err := decodeBody(w, req, &rr)
+	n, err := decodeBody(req, &rr)
 	if err != nil {
 		bodyError(w, "result", err)
 		return

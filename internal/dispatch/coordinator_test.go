@@ -16,6 +16,7 @@ import (
 
 	"fedwcm/internal/fl"
 	"fedwcm/internal/store"
+	"fedwcm/internal/wire"
 )
 
 // coordHarness is a coordinator mounted on a test server plus hand-driven
@@ -106,13 +107,13 @@ func (h *coordHarness) leaseUntil(wid string, deadline time.Duration) Job {
 
 func (h *coordHarness) heartbeat(wid, jobID string, rounds []fl.RoundStat) int {
 	h.t.Helper()
-	return h.post(fmt.Sprintf("/v1/workers/%s/jobs/%s/heartbeat", wid, jobID), heartbeatRequest{Rounds: rounds}, nil)
+	return h.post(fmt.Sprintf("/v1/workers/%s/jobs/%s/heartbeat", wid, jobID), wire.Stats{Rounds: rounds}, nil)
 }
 
 func (h *coordHarness) upload(wid, jobID string, hist *fl.History, errStr string) (int, resultResponse) {
 	h.t.Helper()
 	var resp resultResponse
-	code := h.post(fmt.Sprintf("/v1/workers/%s/jobs/%s/result", wid, jobID), resultRequest{History: hist, Error: errStr}, &resp)
+	code := h.post(fmt.Sprintf("/v1/workers/%s/jobs/%s/result", wid, jobID), wire.Result{History: hist, Error: errStr}, &resp)
 	return code, resp
 }
 

@@ -3,195 +3,14 @@ package dispatch
 import (
 	"bytes"
 	"compress/gzip"
-	"encoding/json"
 	"fmt"
-	"math"
-	"math/rand"
 	"net/http"
-	"net/http/httptest"
-	"os"
 	"strings"
 	"testing"
 	"time"
 
-	"fedwcm/internal/fl"
+	"fedwcm/internal/wire"
 )
-
-// sampleHistory builds a deterministic history shaped like real engine
-// output: the reference workload for upload size. It mirrors what Evaluate
-// and the async engine emit: accuracy columns are correct/total quotients
-// over a fixed test set (2000 samples, 200 per class) that plateau as the
-// run converges, losses and adaptive metrics are full-entropy floats, and
-// shot/async blocks appear at the cadence the engine records them.
-func sampleHistory(rounds, classes int) *fl.History {
-	r := rand.New(rand.NewSource(97))
-	perClassN := 200
-	totals := make([]int, classes)
-	buckets := make([]int, classes)
-	for c := range totals {
-		totals[c] = perClassN
-		buckets[c] = c * 3 / classes
-	}
-	correct := make([]int, classes)
-	h := &fl.History{Method: "fedwcm"}
-	for i := 0; i < rounds; i++ {
-		sumCorrect := 0
-		perClass := make([]float64, classes)
-		for c := range correct {
-			// Per-class accuracy random-walks upward and plateaus: most
-			// rounds a class's count moves by a few samples or not at all.
-			if step := r.Intn(5) - 1; step > 0 || correct[c] > 0 {
-				correct[c] += step
-			}
-			correct[c] = min(max(correct[c], 0), perClassN)
-			perClass[c] = float64(correct[c]) / float64(perClassN)
-			sumCorrect += correct[c]
-		}
-		s := fl.RoundStat{
-			Round:     i + 1,
-			TestAcc:   float64(sumCorrect) / float64(classes*perClassN),
-			PerClass:  perClass,
-			TrainLoss: 2.3*math.Exp(-float64(i)/40) + 0.01*r.Float64(),
-			Time:      float64(i + 1),
-		}
-		if i%2 == 0 {
-			s.Metrics = map[string]float64{
-				"alpha":       0.1 + 0.02*r.Float64(),
-				"buffer_wait": float64(r.Intn(20)),
-			}
-		}
-		s.Shot = fl.ShotAccuracy(perClass, totals, buckets)
-		if i%2 == 1 {
-			s.Async = &fl.AsyncRoundStat{
-				Buffer:    8,
-				Waves:     i + 2,
-				MeanStale: float64(r.Intn(24)) / 8,
-				MaxStale:  r.Intn(5),
-				StaleHist: []int{5, 2, 1},
-			}
-		}
-		h.Stats = append(h.Stats, s)
-	}
-	return h
-}
-
-// testEncoder returns a worker whose only use is its upload encoder.
-func testEncoder(t *testing.T) *Worker {
-	t.Helper()
-	w, err := NewWorker(WorkerConfig{Coordinator: "http://unused", Runner: trivialRunner})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return w
-}
-
-// TestUploadFiveTimesSmallerThanJSON is the transport-size gate: on the
-// reference 100-round history a result upload must be at least 5× smaller
-// than the plain JSON body.
-func TestUploadFiveTimesSmallerThanJSON(t *testing.T) {
-	rr := resultRequest{History: sampleHistory(100, 10)}
-	plain, err := json.Marshal(rr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := testEncoder(t).encode(rr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("json=%d gzip=%d ratio=%.2f", len(plain), len(body), float64(len(plain))/float64(len(body)))
-	if len(body)*5 > len(plain) {
-		t.Fatalf("upload is %d bytes, not ≥5× smaller than the %d-byte JSON", len(body), len(plain))
-	}
-}
-
-// edgeFloat draws finite floats heavy on encoding edge cases: ±0,
-// subnormals, full 52-bit mantissas across the whole exponent range, and
-// ordinary [0,1) accuracies.
-func edgeFloat(r *rand.Rand) float64 {
-	switch r.Intn(5) {
-	case 0:
-		return math.Copysign(0, float64(r.Intn(2)*2-1))
-	case 1:
-		return math.Float64frombits(r.Uint64() & (1<<52 - 1))
-	case 2:
-		return math.Float64frombits(r.Uint64()&^(0x7FF<<52) | uint64(1+r.Intn(0x7FE))<<52)
-	default:
-		return r.Float64()
-	}
-}
-
-func edgeHistory(r *rand.Rand, rounds int) *fl.History {
-	h := &fl.History{Method: "fedwcm"}
-	for i := 0; i < rounds; i++ {
-		s := fl.RoundStat{Round: i + 1, TestAcc: edgeFloat(r), TrainLoss: edgeFloat(r), Time: edgeFloat(r)}
-		switch r.Intn(3) {
-		case 0:
-			s.PerClass = []float64{}
-		case 1:
-			s.PerClass = make([]float64, 1+r.Intn(10))
-			for j := range s.PerClass {
-				s.PerClass[j] = edgeFloat(r)
-			}
-		}
-		switch r.Intn(3) {
-		case 0:
-			s.Metrics = map[string]float64{}
-		case 1:
-			s.Metrics = map[string]float64{"alpha": edgeFloat(r), "κ": edgeFloat(r)}
-		}
-		if r.Intn(2) == 0 {
-			s.Shot = &fl.ShotAcc{Head: edgeFloat(r), Medium: edgeFloat(r), Tail: edgeFloat(r)}
-		}
-		if r.Intn(2) == 0 {
-			s.Async = &fl.AsyncRoundStat{Buffer: r.Intn(32), Partial: r.Intn(2) == 0, Waves: r.Intn(1000),
-				MeanStale: edgeFloat(r), MaxStale: r.Intn(64), StaleHist: []int{r.Intn(9), r.Intn(9)}}
-		}
-		h.Stats = append(h.Stats, s)
-	}
-	return h
-}
-
-// TestUploadStoresIdenticalArtifact is the store-boundary guarantee: a
-// history that travels worker encode → coordinator decode → Store.Put
-// leaves exactly the artifact bytes that storing the original does, so
-// remote and local runs file identical results.
-func TestUploadStoresIdenticalArtifact(t *testing.T) {
-	w := testEncoder(t)
-	r := rand.New(rand.NewSource(11))
-	fp := testJob(0).ID
-	for trial := 0; trial < 30; trial++ {
-		want := edgeHistory(r, 1+r.Intn(20))
-		body, err := w.encode(resultRequest{History: want})
-		if err != nil {
-			t.Fatal(err)
-		}
-		req := httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(body))
-		req.Header.Set("Content-Encoding", "gzip")
-		var got resultRequest
-		if _, err := decodeBody(httptest.NewRecorder(), req, &got); err != nil {
-			t.Fatalf("trial %d: decoding: %v", trial, err)
-		}
-
-		direct, relayed := tstore(t), tstore(t)
-		if err := direct.Put(fp, want); err != nil {
-			t.Fatal(err)
-		}
-		if err := relayed.Put(fp, got.History); err != nil {
-			t.Fatal(err)
-		}
-		a, err := os.ReadFile(direct.Path(fp))
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := os.ReadFile(relayed.Path(fp))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(a, b) {
-			t.Fatalf("trial %d: artifact differs after upload:\n got  %s\n want %s", trial, b, a)
-		}
-	}
-}
 
 // TestGzipBombRejected: a result upload that inflates past the body cap is
 // refused with a 4xx instead of being buffered, and the coordinator keeps
@@ -207,18 +26,18 @@ func TestGzipBombRejected(t *testing.T) {
 	h.leaseUntil(wid, 5*time.Second)
 
 	// Well-formed JSON — an error upload whose message inflates past
-	// maxBodyBytes — so only the cap stands between it and a 64 MiB decode
+	// wire.MaxBody — so only the cap stands between it and a 64 MiB decode
 	// that would fail the job.
 	var bomb bytes.Buffer
 	zw, _ := gzip.NewWriterLevel(&bomb, gzip.BestCompression)
 	zw.Write([]byte(`{"error":"`))
 	chunk := []byte(strings.Repeat("a", 1<<16))
-	for n := 0; n <= maxBodyBytes; n += len(chunk) {
+	for n := 0; n <= wire.MaxBody; n += len(chunk) {
 		zw.Write(chunk)
 	}
 	zw.Write([]byte(`"}`))
 	zw.Close()
-	t.Logf("bomb: %d bytes inflating past %d", bomb.Len(), maxBodyBytes)
+	t.Logf("bomb: %d bytes inflating past %d", bomb.Len(), wire.MaxBody)
 
 	url := fmt.Sprintf("%s/v1/workers/%s/jobs/%s/result", h.ts.URL, wid, job.ID)
 	req, err := http.NewRequest(http.MethodPost, url, &bomb)

@@ -2,7 +2,6 @@ package dispatch
 
 import (
 	"bytes"
-	"compress/gzip"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -14,6 +13,7 @@ import (
 
 	"fedwcm/internal/fl"
 	"fedwcm/internal/obs"
+	"fedwcm/internal/wire"
 )
 
 // WorkerConfig wires a Worker.
@@ -57,11 +57,7 @@ type Worker struct {
 
 	regMu sync.Mutex // single-flights re-registration across slot loops
 
-	// gz compresses heartbeat and result bodies. It is long-lived because a
-	// gzip writer's deflate state is ~0.8 MB: building it per upload would
-	// dominate the worker's allocations.
-	gzMu sync.Mutex
-	gz   *gzip.Writer
+	enc *wire.Encoder // heartbeat and result bodies
 
 	wm workerMetrics
 }
@@ -94,27 +90,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.Metrics == nil {
 		cfg.Metrics = obs.Default()
 	}
-	// A constant valid level cannot fail. Close allocates the deflate state
-	// now instead of inside the first upload.
-	gz, _ := gzip.NewWriterLevel(io.Discard, gzip.BestCompression)
-	gz.Close()
-	return &Worker{cfg: cfg, gz: gz, wm: newWorkerMetrics(cfg.Metrics)}, nil
-}
-
-// encode marshals an upload body to JSON and gzips it. The error is
-// json.Marshal's: JSON has no NaN or ±Inf.
-func (w *Worker) encode(v any) ([]byte, error) {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return nil, err
-	}
-	var buf bytes.Buffer
-	w.gzMu.Lock()
-	defer w.gzMu.Unlock()
-	w.gz.Reset(&buf)
-	w.gz.Write(b) // writes into a bytes.Buffer cannot fail
-	w.gz.Close()
-	return buf.Bytes(), nil
+	return &Worker{cfg: cfg, enc: wire.NewEncoder(), wm: newWorkerMetrics(cfg.Metrics)}, nil
 }
 
 // jitter scales d by a uniform factor in [0.8, 1.2). N workers whose empty
@@ -362,7 +338,7 @@ func (w *Worker) execute(ctx context.Context, job Job, id string) {
 				// A batch JSON cannot encode (a diverged NaN loss) goes out as
 				// an empty body: the beat still extends the lease, and the
 				// result upload reports the failure.
-				body, _ := w.encode(heartbeatRequest{Rounds: batch})
+				body, _ := w.enc.Encode(wire.Stats{Rounds: batch})
 				w.wm.wire.observeEncode("stats", len(body), time.Since(start).Seconds())
 				code, err := w.post(jobCtx, hbURL, job.ID, "gzip", body, nil)
 				if err == nil && code == http.StatusOK {
@@ -432,12 +408,12 @@ func (w *Worker) execute(ctx context.Context, job Job, id string) {
 		errMsg = err.Error()
 	}
 	encStart := time.Now()
-	resBody, encErr := w.encode(resultRequest{History: hist, Error: errMsg})
+	resBody, encErr := w.enc.Encode(wire.Result{History: hist, Error: errMsg})
 	if encErr != nil {
 		// JSON has no NaN or ±Inf, so a diverged history can neither travel
 		// nor be stored. Upload the encode error instead: the job fails on
 		// this lease rather than expiring and retrying to the same end.
-		resBody, _ = w.encode(resultRequest{Error: encErr.Error()})
+		resBody, _ = w.enc.Encode(wire.Result{Error: encErr.Error()})
 	}
 	w.wm.wire.observeEncode("result", len(resBody), time.Since(encStart).Seconds())
 	// A run that finished uploads even while the worker shuts down — the

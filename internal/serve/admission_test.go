@@ -13,6 +13,7 @@ import (
 
 	"fedwcm/internal/fl"
 	"fedwcm/internal/sweep"
+	"fedwcm/internal/wire"
 )
 
 // postSpecAs submits a run spec under a tenant header (empty = none) and
@@ -36,7 +37,7 @@ func postSpecAs(t *testing.T, ts *httptest.Server, spec sweep.RunSpec, tenant st
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var rr runResponse
+	var rr wire.RunStatus
 	json.NewDecoder(resp.Body).Decode(&rr)
 	return resp.StatusCode, resp.Header.Get("Retry-After")
 }

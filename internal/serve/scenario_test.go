@@ -10,6 +10,7 @@ import (
 
 	"fedwcm/internal/fl"
 	"fedwcm/internal/sweep"
+	"fedwcm/internal/wire"
 )
 
 // shotRunner returns canned histories carrying shot-bucket data, counting
@@ -38,14 +39,14 @@ func TestRunSubmitWithScenario(t *testing.T) {
 	var execs atomic.Int64
 	_, ts := newTestServer(t, Config{Runner: shotRunner(&execs)})
 
-	post := func(body string) (int, runResponse) {
+	post := func(body string) (int, wire.RunStatus) {
 		t.Helper()
 		resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		var rr runResponse
+		var rr wire.RunStatus
 		if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
 			t.Fatalf("decode (HTTP %d): %v", resp.StatusCode, err)
 		}

@@ -17,6 +17,7 @@ import (
 	"fedwcm/internal/fl"
 	"fedwcm/internal/store"
 	"fedwcm/internal/sweep"
+	"fedwcm/internal/wire"
 )
 
 // tinySpec is a real grid cell scaled down far enough to train in
@@ -47,7 +48,7 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	return s, ts
 }
 
-func postSpec(t *testing.T, ts *httptest.Server, spec sweep.RunSpec) (int, runResponse) {
+func postSpec(t *testing.T, ts *httptest.Server, spec sweep.RunSpec) (int, wire.RunStatus) {
 	t.Helper()
 	body, err := json.Marshal(spec)
 	if err != nil {
@@ -58,28 +59,28 @@ func postSpec(t *testing.T, ts *httptest.Server, spec sweep.RunSpec) (int, runRe
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var rr runResponse
+	var rr wire.RunStatus
 	if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
 		t.Fatalf("decoding response (HTTP %d): %v", resp.StatusCode, err)
 	}
 	return resp.StatusCode, rr
 }
 
-func getStatus(t *testing.T, ts *httptest.Server, id string) (int, runResponse) {
+func getStatus(t *testing.T, ts *httptest.Server, id string) (int, wire.RunStatus) {
 	t.Helper()
 	resp, err := http.Get(ts.URL + "/v1/runs/" + id)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var rr runResponse
+	var rr wire.RunStatus
 	if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
 		t.Fatalf("decoding response (HTTP %d): %v", resp.StatusCode, err)
 	}
 	return resp.StatusCode, rr
 }
 
-func waitTerminal(t *testing.T, ts *httptest.Server, id string) runResponse {
+func waitTerminal(t *testing.T, ts *httptest.Server, id string) wire.RunStatus {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
@@ -94,7 +95,7 @@ func waitTerminal(t *testing.T, ts *httptest.Server, id string) runResponse {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatalf("run %s never finished", id)
-	return runResponse{}
+	return wire.RunStatus{}
 }
 
 // TestSubmitCachesSecondIdenticalRun is the end-to-end acceptance path:
@@ -191,7 +192,7 @@ func TestConcurrentIdenticalSubmissionsCoalesce(t *testing.T) {
 
 	var wg sync.WaitGroup
 	codes := make([]int, 4)
-	resps := make([]runResponse, 4)
+	resps := make([]wire.RunStatus, 4)
 	for i := range codes {
 		wg.Add(1)
 		go func(i int) {

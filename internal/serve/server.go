@@ -53,6 +53,7 @@ import (
 	"fedwcm/internal/obs"
 	"fedwcm/internal/store"
 	"fedwcm/internal/sweep"
+	"fedwcm/internal/wire"
 )
 
 // Runner executes one spec, reporting per-round progress and honouring ctx
@@ -238,19 +239,10 @@ func (s *Server) watch(r *run, h dispatch.Handle) {
 	}
 }
 
-// runResponse is the JSON shape shared by submit and status responses.
-type runResponse struct {
-	ID       string         `json:"id"`
-	Status   string         `json:"status"`
-	Progress []fl.RoundStat `json:"progress,omitempty"`
-	History  *fl.History    `json:"history,omitempty"`
-	Error    string         `json:"error,omitempty"`
-}
-
-// writeJSON encodes v before touching the response so an encode failure
-// (e.g. a NaN in a diverged run's history — json.Marshal rejects NaN) turns
-// into a well-formed 500 instead of a 200 with a truncated body.
-// writeJSON writes v as the response body and returns the body's size.
+// writeJSON writes v as the response body and returns the body's size. It
+// encodes v before touching the response so an encode failure (e.g. a NaN
+// in a diverged run's history — json.Marshal rejects NaN) turns into a
+// well-formed 500 instead of a 200 with a truncated body.
 func writeJSON(w http.ResponseWriter, code int, v any) int {
 	b, err := json.Marshal(v)
 	if err != nil {
@@ -269,7 +261,7 @@ func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 
 // writeRun writes a run status response, counting its body under the
 // transport metrics (kind="runstatus").
-func (s *Server) writeRun(w http.ResponseWriter, code int, rr runResponse) {
+func (s *Server) writeRun(w http.ResponseWriter, code int, rr wire.RunStatus) {
 	start := time.Now()
 	n := writeJSON(w, code, rr)
 	s.sm.observeWireEncode("runstatus", n, time.Since(start).Seconds())
@@ -397,9 +389,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	case err != nil:
 		httpError(w, http.StatusInternalServerError, "%v", err)
 	case hist != nil:
-		s.writeRun(w, http.StatusOK, runResponse{ID: fp, Status: StatusCached, History: hist})
+		s.writeRun(w, http.StatusOK, wire.RunStatus{ID: fp, Status: StatusCached, History: hist})
 	default:
-		s.writeRun(w, http.StatusAccepted, runResponse{ID: fp, Status: status})
+		s.writeRun(w, http.StatusAccepted, wire.RunStatus{ID: fp, Status: status})
 	}
 }
 
@@ -446,14 +438,14 @@ func (s *Server) handleStatus(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	if r == nil {
-		s.writeRun(w, http.StatusOK, runResponse{ID: id, Status: StatusCached, History: stored})
+		s.writeRun(w, http.StatusOK, wire.RunStatus{ID: id, Status: StatusCached, History: stored})
 		return
 	}
 	status, progress, hist, errMsg := r.snapshot()
 	if hist != nil {
 		progress = nil // history carries the same stats; don't send both
 	}
-	s.writeRun(w, http.StatusOK, runResponse{ID: id, Status: status, Progress: progress, History: hist, Error: errMsg})
+	s.writeRun(w, http.StatusOK, wire.RunStatus{ID: id, Status: status, Progress: progress, History: hist, Error: errMsg})
 }
 
 // handleEvents streams per-round progress as Server-Sent Events: one

@@ -10,13 +10,12 @@ import (
 	"fedwcm/internal/wire"
 )
 
-// TestWireNegotiatedStatus pins the transport negotiation end to end: a
-// client that lists the wire codec in Accept gets a binary run-status body
-// that decodes to exactly the same run state — history included,
-// bit-for-bit at the JSON level — as the default JSON response, while
-// plain clients are untouched.
+// TestWireNegotiatedStatus pins the run-status transport end to end. There
+// is one encoding, so whatever a client lists in Accept — nothing, a binary
+// type, or a wildcard — it gets the identical JSON body, and wire.Decode
+// reads it back to the history the store holds, byte-for-byte.
 func TestWireNegotiatedStatus(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1})
+	s, ts := newTestServer(t, Config{Workers: 1})
 
 	spec := tinySpec()
 	code, first := postSpec(t, ts, spec)
@@ -28,63 +27,53 @@ func TestWireNegotiatedStatus(t *testing.T) {
 		t.Fatalf("run failed: %s", fin.Error)
 	}
 
-	// JSON stays the default: no Accept header → application/json.
-	resp, err := http.Get(ts.URL + "/v1/runs/" + first.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jsonBody, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-		t.Fatalf("default Content-Type = %q", ct)
-	}
-	var viaJSON runResponse
-	if err := json.Unmarshal(jsonBody, &viaJSON); err != nil {
-		t.Fatal(err)
+	var bodies [][]byte
+	for _, accept := range []string{"", "application/octet-stream", "*/*"} {
+		req, err := http.NewRequest(http.MethodGet, ts.URL+"/v1/runs/"+first.ID, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if accept != "" {
+			req.Header.Set("Accept", accept)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("Accept %q: HTTP %d", accept, resp.StatusCode)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+			t.Fatalf("Accept %q: Content-Type = %q", accept, ct)
+		}
+		if len(bodies) > 0 && !bytes.Equal(body, bodies[0]) {
+			t.Fatalf("Accept %q changed the body:\n%s\nvs\n%s", accept, body, bodies[0])
+		}
+		bodies = append(bodies, body)
 	}
 
-	// Accept: wire → the binary codec, identified by the response header.
-	req, err := http.NewRequest(http.MethodGet, ts.URL+"/v1/runs/"+first.ID, nil)
+	var rs wire.RunStatus
+	if _, err := wire.Decode(bytes.NewReader(bodies[0]), false, &rs); err != nil {
+		t.Fatalf("decoding status body: %v", err)
+	}
+	if rs.ID != first.ID || rs.History == nil {
+		t.Fatalf("status %+v: want id %s with a history", rs, first.ID)
+	}
+	stored, ok, err := s.cfg.Store.Get(first.ID)
+	if err != nil || !ok {
+		t.Fatalf("store: ok=%v err=%v", ok, err)
+	}
+	want, err := json.Marshal(stored)
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set("Accept", wire.ContentType)
-	resp, err = http.DefaultClient.Do(req)
+	got, err := json.Marshal(rs.History)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wireBody, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("wire status: HTTP %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != wire.ContentType {
-		t.Fatalf("negotiated Content-Type = %q, want %q", ct, wire.ContentType)
-	}
-	rs, err := wire.DecodeRunStatus(wireBody)
-	if err != nil {
-		t.Fatalf("decoding wire body: %v", err)
-	}
-	if rs.ID != viaJSON.ID || rs.Status != viaJSON.Status || rs.Error != viaJSON.Error {
-		t.Fatalf("wire status %+v disagrees with JSON %+v", rs, viaJSON)
-	}
-	if rs.History == nil {
-		t.Fatal("wire status carries no history")
-	}
-	// The lossless contract at the serving boundary: both encodings carry
-	// the identical history, byte-for-byte in canonical JSON.
-	wantHist, err := json.Marshal(viaJSON.History)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotHist, err := json.Marshal(rs.History)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(wantHist, gotHist) {
-		t.Fatalf("wire history diverges from JSON history:\n%s\nvs\n%s", gotHist, wantHist)
-	}
-	if len(wireBody) >= len(jsonBody) {
-		t.Fatalf("wire body (%d bytes) not smaller than JSON (%d bytes)", len(wireBody), len(jsonBody))
+	if !bytes.Equal(want, got) {
+		t.Fatalf("served history diverges from the stored one:\n%s\nvs\n%s", got, want)
 	}
 }

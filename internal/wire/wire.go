@@ -1,357 +1,134 @@
-// Package wire implements the compact binary transport encoding used to
-// move round histories and update vectors between dispatch workers, the
-// coordinator and the serving layer.
+// Package wire is the transport encoding of fedserve's HTTP protocols.
+// Every body is JSON. Worker uploads — heartbeats and results — are also
+// gzipped and sent with Content-Encoding: gzip; everything else goes plain.
 //
-// Design:
-//
-//   - Every message is an envelope: 4-byte magic "FWR1", a kind byte, then
-//     the payload. Unknown magic or kind fails decoding loudly, so HTTP
-//     handlers can sniff the Content-Type (wire.ContentType) and fall back
-//     to JSON for old peers.
-//
-//   - Float64 series (accuracy, loss, per-class accuracy, metric values)
-//     are XOR-delta encoded: each value's IEEE-754 bits are XORed with the
-//     previous value in its column and the difference is written as a
-//     uvarint after folding out trailing zero nibbles. Slowly-moving series
-//     (the common case round over round) collapse to one or two bytes per
-//     value, and the roundtrip is bit-for-bit lossless — histories decoded
-//     at the store boundary are byte-identical to what the worker computed,
-//     so content addresses and stored artifacts are unchanged by the
-//     transport.
-//
-//   - Integer series (round numbers, staleness histograms) are zigzag
-//     varint deltas against the previous row.
-//
-//   - Update vectors can additionally be quantized (see quant.go): float16
-//     with relative error ≤ 2⁻¹¹, or int8 with a per-block-of-64 absmax
-//     scale and absolute error ≤ scale/2. Quantized forms are only used
-//     for monitoring-path payloads (heartbeat progress relays), never for
-//     results that reach the store.
-//
-// See DESIGN.md "Kernels & wire format" and docs/API.md for the protocol
-// surface.
+// JSON carries every fl.RoundStat field losslessly (encoding/json writes
+// the shortest float that parses back to the same bits), so a history that
+// crosses the wire is stored byte-for-byte as it would be locally. It has
+// no NaN or ±Inf: Encode fails on them instead of sending a body the other
+// side would reject.
 package wire
 
 import (
-	"encoding/binary"
+	"bytes"
+	"compress/gzip"
+	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
-	"math/bits"
+	"io"
+	"sync"
+
+	"fedwcm/internal/fl"
 )
 
-// ContentType is the MIME type negotiating this encoding over HTTP.
-const ContentType = "application/x-fedwcm-wire"
-
-var magic = [4]byte{'F', 'W', 'R', '1'}
-
-// Message kinds (the byte after the magic).
-const (
-	kindResult    byte = 1 // worker result upload: history + error string
-	kindStats     byte = 2 // heartbeat progress relay: a batch of RoundStats
-	kindRunStatus byte = 3 // serve run status: id/status/progress/history
-)
-
-var errTruncated = errors.New("wire: truncated message")
-
-// enc accumulates an encoded message.
-type enc struct{ b []byte }
-
-func (e *enc) u(v uint64)   { e.b = binary.AppendUvarint(e.b, v) }
-func (e *enc) z(v int64)    { e.b = binary.AppendVarint(e.b, v) }
-func (e *enc) byte1(v byte) { e.b = append(e.b, v) }
-
-func (e *enc) str(s string) {
-	e.u(uint64(len(s)))
-	e.b = append(e.b, s...)
+// Result is a worker's result upload: the finished history, or the error
+// that ended the job.
+type Result struct {
+	History *fl.History `json:"history,omitempty"`
+	Error   string      `json:"error,omitempty"`
 }
 
-// fcol is the per-column state of a float series: the previous value's bits
-// (for XOR and repeat detection) and the last rational numerator and
-// denominator. The engine's accuracy columns divide a slowly-moving correct
-// count by a fixed test-set size, so the denominator is paid once per
-// column and the numerator as a small delta per value.
-type fcol struct {
-	bits, den uint64
-	num       int64
+// Stats is a worker's heartbeat body. Rounds carries the stats recorded
+// since the previous heartbeat; the coordinator relays them to the job's
+// progress subscribers.
+type Stats struct {
+	Rounds []fl.RoundStat `json:"rounds,omitempty"`
 }
 
-// fx writes one float64 of a column. Four lossless encodings, cheapest
-// wins:
-//
-//   - code 0: bits unchanged from the column's previous value (1 byte);
-//   - code 1: rational — zigzag numerator and uvarint denominator follow,
-//     used when float64(num)/float64(den) reproduces v bit-exactly (the
-//     engine's accuracy columns are correct/total quotients, so this
-//     collapses them to 3–5 bytes where a raw mantissa needs 9);
-//   - code 2: rational reusing the column's previous denominator, with the
-//     numerator zigzag-delta'd against the column's previous numerator (the
-//     steady state for accuracy columns: 2 bytes per value);
-//   - otherwise XOR vs the previous bits with trailing zero nibbles folded:
-//     uvarint (xor>>4f)<<4 | f for the largest f ≤ 14 with 4f trailing zero
-//     bits, or escape code 15 followed by 8 raw little-endian bytes when the
-//     top nibble is occupied and nothing folds.
-func (e *enc) fx(c *fcol, v float64) {
-	b := math.Float64bits(v)
-	x := b ^ c.bits
-	c.bits = b
-	if x == 0 {
-		e.u(0)
-		return
+// RunStatus is the run-status body of GET/POST /v1/runs, as fedserve
+// writes it and dispatch.Client reads it.
+type RunStatus struct {
+	ID       string         `json:"id"`
+	Status   string         `json:"status"`
+	Progress []fl.RoundStat `json:"progress,omitempty"`
+	History  *fl.History    `json:"history,omitempty"`
+	Error    string         `json:"error,omitempty"`
+}
+
+// MaxBody caps a body, before and after decompression. gzip expands input
+// up to ~1000×, so without a cap a few kilobytes could make a decoder
+// allocate gigabytes; 64 MiB is far above any real body (the 100-round
+// reference history is ~28 KB of JSON).
+const MaxBody = 64 << 20
+
+// ErrTooLarge reports a body past MaxBody.
+var ErrTooLarge = fmt.Errorf("wire: body exceeds %d bytes", MaxBody)
+
+// Encoder marshals and gzips upload bodies. It holds one gzip writer for
+// its lifetime: a writer's deflate state is ~0.8 MB, allocated on first
+// use, so building one per upload would dominate a worker's allocations.
+// Safe for concurrent use.
+type Encoder struct {
+	mu sync.Mutex
+	gz *gzip.Writer
+}
+
+// NewEncoder returns an Encoder at gzip.BestCompression with its deflate
+// state already allocated.
+func NewEncoder() *Encoder {
+	// A constant valid level cannot fail. Close allocates the deflate state
+	// now instead of inside the first upload.
+	gz, _ := gzip.NewWriterLevel(io.Discard, gzip.BestCompression)
+	gz.Close()
+	return &Encoder{gz: gz}
+}
+
+// Encode marshals v to JSON and gzips it. The error is json.Marshal's:
+// JSON has no NaN or ±Inf.
+func (e *Encoder) Encode(v any) ([]byte, error) {
+	b, err := json.Marshal(v)
+	if err != nil {
+		return nil, err
 	}
-	f := uint64(bits.TrailingZeros64(x)) / 4
-	if f > 14 {
-		f = 14
+	var buf bytes.Buffer
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.gz.Reset(&buf)
+	e.gz.Write(b) // writes into a bytes.Buffer cannot fail
+	e.gz.Close()
+	return buf.Bytes(), nil
+}
+
+// gzipReaders recycles gunzip state (the inflate window) across decodes.
+var gzipReaders sync.Pool
+
+// Decode reads a body from r, gunzips it when gzipped, unmarshals the JSON
+// into v and returns the body's size as read from r. An empty body yields
+// io.EOF; one past MaxBody, compressed or not, yields ErrTooLarge. A gzip
+// body is read to its end, so a bad checksum fails the decode.
+func Decode(r io.Reader, gzipped bool, v any) (int, error) {
+	raw, err := readCapped(r)
+	if err != nil || len(raw) == 0 {
+		if err == nil {
+			err = io.EOF
+		}
+		return len(raw), err
 	}
-	escape := uint64(bits.LeadingZeros64(x))+4*f < 4
-	xorCost := 9
-	if !escape {
-		xorCost = uvlen((x >> (4 * f)) << 4)
-	}
-	if xorCost > 2 {
-		// The column's sticky denominator first: IEEE division is correctly
-		// rounded, so k/200 matches even when the reduced form would be 9/20.
-		if num, ok := ratWithDen(v, c.den); ok {
-			dn := num - c.num
-			zd := uint64(dn<<1) ^ uint64(dn>>63)
-			if 1+uvlen(zd) < xorCost {
-				e.u(2)
-				e.z(dn)
-				c.num = num
-				return
+	b := raw
+	if gzipped {
+		zr, _ := gzipReaders.Get().(*gzip.Reader)
+		if zr == nil {
+			zr = new(gzip.Reader)
+		}
+		defer gzipReaders.Put(zr)
+		if err := zr.Reset(bytes.NewReader(raw)); err != nil {
+			return len(raw), fmt.Errorf("wire: gunzip: %w", err)
+		}
+		if b, err = readCapped(zr); err != nil {
+			if !errors.Is(err, ErrTooLarge) {
+				err = fmt.Errorf("wire: gunzip: %w", err)
 			}
-		}
-		if num, den, ok := ratApprox(v); ok {
-			zn := uint64(num<<1) ^ uint64(num>>63)
-			if 1+uvlen(zn)+uvlen(den) < xorCost {
-				e.u(1)
-				e.z(num)
-				e.u(den)
-				c.den, c.num = den, num
-				return
-			}
+			return len(raw), err
 		}
 	}
-	if escape {
-		e.u(15)
-		e.b = binary.LittleEndian.AppendUint64(e.b, x)
-		return
-	}
-	e.u((x>>(4*f))<<4 | f)
+	return len(raw), json.Unmarshal(b, v)
 }
 
-// uvlen is the encoded size of a uvarint.
-func uvlen(x uint64) int {
-	n := 1
-	for x >= 0x80 {
-		x >>= 7
-		n++
+// readCapped reads r to its end, failing with ErrTooLarge past MaxBody.
+func readCapped(r io.Reader) ([]byte, error) {
+	b, err := io.ReadAll(io.LimitReader(r, MaxBody+1))
+	if err == nil && len(b) > MaxBody {
+		err = ErrTooLarge
 	}
-	return n
-}
-
-// ratWithDen checks whether v is exactly num/den for the given denominator
-// and some |num| ≤ 2²⁰.
-func ratWithDen(v float64, den uint64) (int64, bool) {
-	if den == 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-		return 0, false
-	}
-	n := math.Round(v * float64(den))
-	if math.Abs(n) > 1<<20 || n == 0 {
-		return 0, false
-	}
-	num := int64(n)
-	if float64(num)/float64(den) != v {
-		return 0, false
-	}
-	return num, true
-}
-
-// ratApprox finds a small rational num/den (den ≤ 4096, |num| ≤ 2²⁰) whose
-// float64 quotient is bit-identical to v, walking the continued-fraction
-// convergents of |v|. Any rational that rounds to v within the den bound is
-// a convergent (|v−p/q| ≤ ulp/2 < 1/(2q²) for these magnitudes), so the
-// walk is exhaustive.
-func ratApprox(v float64) (num int64, den uint64, ok bool) {
-	if v == 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-		return 0, 0, false
-	}
-	av := math.Abs(v)
-	if av > 1<<20 || av < 1.0/(2<<12) {
-		return 0, 0, false
-	}
-	var p0, q0, p1, q1 uint64 = 0, 1, 1, 0
-	x := av
-	for i := 0; i < 48; i++ {
-		a := math.Floor(x)
-		if a > 1<<20 {
-			return 0, 0, false
-		}
-		p2 := uint64(a)*p1 + p0
-		q2 := uint64(a)*q1 + q0
-		if q2 > 4096 || p2 > 1<<20 {
-			return 0, 0, false
-		}
-		if float64(p2)/float64(q2) == av {
-			num = int64(p2)
-			if v < 0 {
-				num = -num
-			}
-			return num, q2, true
-		}
-		p0, q0, p1, q1 = p1, q1, p2, q2
-		frac := x - a
-		if frac == 0 {
-			return 0, 0, false
-		}
-		x = 1 / frac
-	}
-	return 0, 0, false
-}
-
-// dec consumes an encoded message; errors are sticky and reads after an
-// error return zero values.
-type dec struct {
-	b   []byte
-	err error
-}
-
-func (d *dec) fail(err error) {
-	if d.err == nil {
-		d.err = err
-	}
-}
-
-func (d *dec) u() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.b)
-	if n <= 0 {
-		d.fail(errTruncated)
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
-}
-
-func (d *dec) z() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.b)
-	if n <= 0 {
-		d.fail(errTruncated)
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
-}
-
-func (d *dec) byte1() byte {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.b) < 1 {
-		d.fail(errTruncated)
-		return 0
-	}
-	v := d.b[0]
-	d.b = d.b[1:]
-	return v
-}
-
-func (d *dec) take(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if n < 0 || len(d.b) < n {
-		d.fail(errTruncated)
-		return nil
-	}
-	v := d.b[:n]
-	d.b = d.b[n:]
-	return v
-}
-
-func (d *dec) str() string {
-	n := d.u()
-	if n > uint64(len(d.b)) {
-		d.fail(errTruncated)
-		return ""
-	}
-	return string(d.take(int(n)))
-}
-
-// length reads a count that is subsequently used to allocate; it is bounded
-// by the remaining input so corrupt messages cannot demand huge buffers.
-func (d *dec) length() int {
-	n := d.u()
-	if n > uint64(len(d.b))+1 {
-		d.fail(fmt.Errorf("wire: length %d exceeds remaining input %d", n, len(d.b)))
-		return 0
-	}
-	return int(n)
-}
-
-func (d *dec) fx(c *fcol) float64 {
-	u := d.u()
-	var x uint64
-	switch {
-	case u == 0:
-		// unchanged
-	case u == 1 || u == 2:
-		var num int64
-		den := c.den
-		if u == 1 {
-			num = d.z()
-			den = d.u()
-		} else {
-			num = c.num + d.z()
-		}
-		if den == 0 {
-			d.fail(errors.New("wire: rational with zero denominator"))
-			return 0
-		}
-		c.den, c.num = den, num
-		v := float64(num) / float64(den)
-		c.bits = math.Float64bits(v)
-		return v
-	case u == 15:
-		raw := d.take(8)
-		if d.err == nil {
-			x = binary.LittleEndian.Uint64(raw)
-		}
-	case u < 15:
-		d.fail(fmt.Errorf("wire: reserved float delta code %d", u))
-	default:
-		f := u & 15
-		if f > 14 {
-			d.fail(fmt.Errorf("wire: invalid float fold %d", f))
-			return 0
-		}
-		x = (u >> 4) << (4 * f)
-	}
-	c.bits ^= x
-	return math.Float64frombits(c.bits)
-}
-
-// envelope writes the message header.
-func (e *enc) envelope(kind byte) {
-	e.b = append(e.b, magic[:]...)
-	e.byte1(kind)
-}
-
-// openEnvelope validates the header and returns the payload decoder.
-func openEnvelope(p []byte, wantKind byte) (*dec, error) {
-	if len(p) < 5 {
-		return nil, errTruncated
-	}
-	if [4]byte(p[:4]) != magic {
-		return nil, fmt.Errorf("wire: bad magic %q", p[:4])
-	}
-	if p[4] != wantKind {
-		return nil, fmt.Errorf("wire: kind %d, want %d", p[4], wantKind)
-	}
-	return &dec{b: p[5:]}, nil
+	return b, err
 }

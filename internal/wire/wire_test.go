@@ -1,99 +1,137 @@
 package wire
 
 import (
+	"bytes"
+	"compress/gzip"
 	"encoding/json"
+	"errors"
+	"io"
 	"math"
 	"math/rand"
+	"os"
+	"strings"
 	"testing"
 
 	"fedwcm/internal/fl"
+	"fedwcm/internal/store"
 )
 
-// nastyFloat draws from a distribution heavy on encoder edge cases: exact
-// zeros of both signs, NaN, infinities, subnormals, values with long
-// matching bit prefixes, and fully random bit patterns.
-func nastyFloat(r *rand.Rand) float64 {
-	switch r.Intn(10) {
+// sampleHistory builds a deterministic history shaped like real engine
+// output: the reference workload for upload size. It mirrors what Evaluate
+// and the async engine emit: accuracy columns are correct/total quotients
+// over a fixed test set (2000 samples, 200 per class) that plateau as the
+// run converges, losses and adaptive metrics are full-entropy floats, and
+// shot/async blocks appear at the cadence the engine records them.
+func sampleHistory(rounds, classes int) *fl.History {
+	r := rand.New(rand.NewSource(97))
+	perClassN := 200
+	totals := make([]int, classes)
+	buckets := make([]int, classes)
+	for c := range totals {
+		totals[c] = perClassN
+		buckets[c] = c * 3 / classes
+	}
+	correct := make([]int, classes)
+	h := &fl.History{Method: "fedwcm"}
+	for i := 0; i < rounds; i++ {
+		sumCorrect := 0
+		perClass := make([]float64, classes)
+		for c := range correct {
+			// Per-class accuracy random-walks upward and plateaus: most
+			// rounds a class's count moves by a few samples or not at all.
+			if step := r.Intn(5) - 1; step > 0 || correct[c] > 0 {
+				correct[c] += step
+			}
+			correct[c] = min(max(correct[c], 0), perClassN)
+			perClass[c] = float64(correct[c]) / float64(perClassN)
+			sumCorrect += correct[c]
+		}
+		s := fl.RoundStat{
+			Round:     i + 1,
+			TestAcc:   float64(sumCorrect) / float64(classes*perClassN),
+			PerClass:  perClass,
+			TrainLoss: 2.3*math.Exp(-float64(i)/40) + 0.01*r.Float64(),
+			Time:      float64(i + 1),
+		}
+		if i%2 == 0 {
+			s.Metrics = map[string]float64{
+				"alpha":       0.1 + 0.02*r.Float64(),
+				"buffer_wait": float64(r.Intn(20)),
+			}
+		}
+		s.Shot = fl.ShotAccuracy(perClass, totals, buckets)
+		if i%2 == 1 {
+			s.Async = &fl.AsyncRoundStat{
+				Buffer:    8,
+				Waves:     i + 2,
+				MeanStale: float64(r.Intn(24)) / 8,
+				MaxStale:  r.Intn(5),
+				StaleHist: []int{5, 2, 1},
+			}
+		}
+		h.Stats = append(h.Stats, s)
+	}
+	return h
+}
+
+// edgeFloat draws finite floats heavy on encoding edge cases: ±0,
+// subnormals, full 52-bit mantissas across the whole exponent range, and
+// ordinary [0,1) accuracies.
+func edgeFloat(r *rand.Rand) float64 {
+	switch r.Intn(5) {
 	case 0:
-		return 0
+		return math.Copysign(0, float64(r.Intn(2)*2-1))
 	case 1:
-		return math.Copysign(0, -1)
+		return math.Float64frombits(r.Uint64() & (1<<52 - 1))
 	case 2:
-		return math.NaN()
-	case 3:
-		return math.Inf(1 - 2*r.Intn(2))
-	case 4:
-		return math.Float64frombits(r.Uint64() & 0xFFFFF) // subnormal
-	case 5:
-		return r.Float64() // [0,1): the realistic accuracy case
-	case 6:
-		return 0.5 + r.Float64()*1e-9 // tiny XOR against a nearby prev
+		return math.Float64frombits(r.Uint64()&^(0x7FF<<52) | uint64(1+r.Intn(0x7FE))<<52)
 	default:
-		return math.Float64frombits(r.Uint64())
+		return r.Float64()
 	}
 }
 
-func randStats(r *rand.Rand, n int) []fl.RoundStat {
-	stats := make([]fl.RoundStat, n)
-	round := 0
-	for i := range stats {
-		round += r.Intn(5) - 1 // rounds usually ascend, sometimes repeat/dip
-		s := &stats[i]
-		s.Round = round
-		s.TestAcc = nastyFloat(r)
-		s.TrainLoss = nastyFloat(r)
-		if r.Intn(2) == 0 {
-			s.Time = nastyFloat(r)
+// edgeStats draws n rows of edge-case floats with empty, absent and
+// populated PerClass/Metrics/StaleHist containers.
+func edgeStats(r *rand.Rand, n int) []fl.RoundStat {
+	var stats []fl.RoundStat
+	for i := 0; i < n; i++ {
+		s := fl.RoundStat{Round: i + 1, TestAcc: edgeFloat(r), TrainLoss: edgeFloat(r), Time: edgeFloat(r)}
+		switch r.Intn(3) {
+		case 0:
+			s.PerClass = []float64{}
+		case 1:
+			s.PerClass = make([]float64, 1+r.Intn(10))
+			for j := range s.PerClass {
+				s.PerClass[j] = edgeFloat(r)
+			}
 		}
 		switch r.Intn(3) {
 		case 0:
-			s.PerClass = make([]float64, r.Intn(12))
-			for j := range s.PerClass {
-				s.PerClass[j] = nastyFloat(r)
-			}
-			if len(s.PerClass) == 0 {
-				s.PerClass = nil
-			}
-		case 1:
-			s.PerClass = []float64{} // must decode as nil (JSON-identical)
-		}
-		if nm := r.Intn(4); nm > 0 {
 			s.Metrics = map[string]float64{}
-			names := []string{"alpha", "buffer_wait", "m", "staleness_ema", "κ"}
-			for j := 0; j < nm; j++ {
-				s.Metrics[names[r.Intn(len(names))]] = nastyFloat(r)
-			}
-		} else if r.Intn(8) == 0 {
-			s.Metrics = map[string]float64{} // empty map → nil on decode
+		case 1:
+			s.Metrics = map[string]float64{"alpha": edgeFloat(r), "κ": edgeFloat(r)}
 		}
 		if r.Intn(2) == 0 {
-			s.Shot = &fl.ShotAcc{Head: nastyFloat(r), Medium: nastyFloat(r), Tail: nastyFloat(r)}
+			s.Shot = &fl.ShotAcc{Head: edgeFloat(r), Medium: edgeFloat(r), Tail: edgeFloat(r)}
 		}
-		if r.Intn(3) == 0 {
-			a := &fl.AsyncRoundStat{
-				Buffer:    r.Intn(32),
-				Partial:   r.Intn(2) == 0,
-				Waves:     r.Intn(1000),
-				MeanStale: nastyFloat(r),
-				MaxStale:  r.Intn(64),
-			}
-			if r.Intn(2) == 0 {
-				a.StaleHist = make([]int, r.Intn(8))
-				for j := range a.StaleHist {
-					a.StaleHist[j] = r.Intn(100)
-				}
-				if len(a.StaleHist) == 0 {
-					a.StaleHist = nil
-				}
-			}
-			s.Async = a
+		if r.Intn(2) == 0 {
+			s.Async = &fl.AsyncRoundStat{Buffer: r.Intn(32), Partial: r.Intn(2) == 0, Waves: r.Intn(1000),
+				MeanStale: edgeFloat(r), MaxStale: r.Intn(64), StaleHist: []int{r.Intn(9), r.Intn(9)}}
 		}
+		stats = append(stats, s)
 	}
 	return stats
 }
 
+func edgeHistory(r *rand.Rand, rounds int) *fl.History {
+	return &fl.History{Method: "fedwcm", Stats: edgeStats(r, rounds)}
+}
+
 func bitsEq(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
+// statsEqual compares bit-for-bit, except where omitempty drops a value
+// exactly as the stored artifact does: an empty container comes back
+// absent, and a -0 Time comes back as the absent +0.
 func statsEqual(t *testing.T, got, want []fl.RoundStat) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -101,10 +139,14 @@ func statsEqual(t *testing.T, got, want []fl.RoundStat) {
 	}
 	for i := range want {
 		g, w := &got[i], &want[i]
-		if g.Round != w.Round || !bitsEq(g.TestAcc, w.TestAcc) || !bitsEq(g.TrainLoss, w.TrainLoss) || !bitsEq(g.Time, w.Time) {
+		wantTime := w.Time
+		if wantTime == 0 {
+			wantTime = 0 // omitempty: -0 is not sent
+		}
+		if g.Round != w.Round || !bitsEq(g.TestAcc, w.TestAcc) || !bitsEq(g.TrainLoss, w.TrainLoss) || !bitsEq(g.Time, wantTime) {
 			t.Fatalf("row %d scalar mismatch:\n got  %+v\n want %+v", i, g, w)
 		}
-		if len(g.PerClass) != len(w.PerClass) && !(len(w.PerClass) == 0 && g.PerClass == nil) {
+		if len(g.PerClass) != len(w.PerClass) {
 			t.Fatalf("row %d PerClass len %d, want %d", i, len(g.PerClass), len(w.PerClass))
 		}
 		for j := range w.PerClass {
@@ -116,8 +158,7 @@ func statsEqual(t *testing.T, got, want []fl.RoundStat) {
 			t.Fatalf("row %d Metrics len %d, want %d", i, len(g.Metrics), len(w.Metrics))
 		}
 		for k, wv := range w.Metrics {
-			gv, ok := g.Metrics[k]
-			if !ok || !bitsEq(gv, wv) {
+			if gv, ok := g.Metrics[k]; !ok || !bitsEq(gv, wv) {
 				t.Fatalf("row %d Metrics[%q] = %v (%v), want %v", i, k, gv, ok, wv)
 			}
 		}
@@ -133,11 +174,9 @@ func statsEqual(t *testing.T, got, want []fl.RoundStat) {
 		if w.Async != nil {
 			ga, wa := g.Async, w.Async
 			if ga.Buffer != wa.Buffer || ga.Partial != wa.Partial || ga.Waves != wa.Waves ||
-				!bitsEq(ga.MeanStale, wa.MeanStale) || ga.MaxStale != wa.MaxStale {
+				!bitsEq(ga.MeanStale, wa.MeanStale) || ga.MaxStale != wa.MaxStale ||
+				len(ga.StaleHist) != len(wa.StaleHist) {
 				t.Fatalf("row %d Async mismatch: %+v vs %+v", i, ga, wa)
-			}
-			if len(ga.StaleHist) != len(wa.StaleHist) && !(len(wa.StaleHist) == 0 && ga.StaleHist == nil) {
-				t.Fatalf("row %d StaleHist len mismatch", i)
 			}
 			for j := range wa.StaleHist {
 				if ga.StaleHist[j] != wa.StaleHist[j] {
@@ -148,198 +187,198 @@ func statsEqual(t *testing.T, got, want []fl.RoundStat) {
 	}
 }
 
-// TestResultRoundtripExact: EncodeResult/DecodeResult is bit-for-bit
-// lossless on adversarial histories (NaN, ±Inf, ±0, subnormals, random bit
-// patterns, nil-vs-empty containers).
+// decodeGzip decodes an Encoder body the way the coordinator does.
+func decodeGzip(t *testing.T, body []byte, v any) {
+	t.Helper()
+	if _, err := Decode(bytes.NewReader(body), true, v); err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+}
+
+// TestWireSmallerThanJSON is the transport-size gate: on the reference
+// 100-round history a gzipped result upload must be at least 5× smaller
+// than the plain JSON body.
+func TestWireSmallerThanJSON(t *testing.T) {
+	res := Result{History: sampleHistory(100, 10)}
+	plain, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := NewEncoder().Encode(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("json=%d gzip=%d ratio=%.2f", len(plain), len(body), float64(len(plain))/float64(len(body)))
+	if len(body)*5 > len(plain) {
+		t.Fatalf("upload is %d bytes, not ≥5× smaller than the %d-byte JSON", len(body), len(plain))
+	}
+}
+
+// TestResultRoundtripExact: Encode → Decode of a result upload is
+// bit-for-bit lossless on finite edge cases (±0, subnormals, full
+// mantissas), and error-only and empty uploads survive as they are.
 func TestResultRoundtripExact(t *testing.T) {
+	enc := NewEncoder()
 	r := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
-		var h *fl.History
+		var want Result
 		if trial%10 != 0 {
-			h = &fl.History{Method: []string{"fedwcm", "fedavg", ""}[r.Intn(3)], Stats: randStats(r, r.Intn(30))}
+			want.History = &fl.History{Method: []string{"fedwcm", "fedavg", ""}[r.Intn(3)], Stats: edgeStats(r, r.Intn(30))}
 		}
-		errMsg := []string{"", "client 3 diverged", "κ"}[r.Intn(3)]
-		p := EncodeResult(h, errMsg)
-		got, gotErr, err := DecodeResult(p)
+		want.Error = []string{"", "client 3 diverged", "κ"}[r.Intn(3)]
+		body, err := enc.Encode(want)
 		if err != nil {
-			t.Fatalf("trial %d: decode: %v", trial, err)
+			t.Fatal(err)
 		}
-		if gotErr != errMsg {
-			t.Fatalf("trial %d: errMsg %q, want %q", trial, gotErr, errMsg)
+		var got Result
+		decodeGzip(t, body, &got)
+		if got.Error != want.Error {
+			t.Fatalf("trial %d: error %q, want %q", trial, got.Error, want.Error)
 		}
-		if (got == nil) != (h == nil) {
+		if (got.History == nil) != (want.History == nil) {
 			t.Fatalf("trial %d: history presence mismatch", trial)
 		}
-		if h != nil {
-			if got.Method != h.Method {
-				t.Fatalf("trial %d: method %q, want %q", trial, got.Method, h.Method)
+		if want.History != nil {
+			if got.History.Method != want.History.Method {
+				t.Fatalf("trial %d: method %q, want %q", trial, got.History.Method, want.History.Method)
 			}
-			statsEqual(t, got.Stats, h.Stats)
+			statsEqual(t, got.History.Stats, want.History.Stats)
 		}
 	}
 }
 
-// TestResultJSONBytesIdentical is the store-boundary guarantee: a decoded
-// history must JSON-marshal to exactly the bytes of the original, so
-// artifact contents and content addresses are unaffected by the transport
-// (JSON can't represent NaN/Inf, so this fixture stays finite — the
-// bit-level cases are covered above).
+// TestResultJSONBytesIdentical is the store-boundary guarantee: a history
+// that travels Encode → Decode → Store.Put leaves exactly the artifact
+// bytes that storing the original does, so remote and local runs file
+// identical results.
 func TestResultJSONBytesIdentical(t *testing.T) {
+	enc := NewEncoder()
 	r := rand.New(rand.NewSource(11))
-	h := &fl.History{Method: "fedwcm"}
-	for i := 0; i < 60; i++ {
-		s := fl.RoundStat{Round: i + 1, TestAcc: r.Float64(), TrainLoss: 2.3 * math.Exp(-float64(i)/40) * (1 + 0.01*r.Float64())}
-		if i%2 == 0 {
-			s.PerClass = make([]float64, 10)
-			for j := range s.PerClass {
-				s.PerClass[j] = r.Float64()
+	fp := strings.Repeat("ab", 32)
+	for trial := 0; trial < 30; trial++ {
+		want := edgeHistory(r, 1+r.Intn(20))
+		body, err := enc.Encode(Result{History: want})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got Result
+		decodeGzip(t, body, &got)
+
+		var artifacts [2][]byte
+		for i, h := range []*fl.History{want, got.History} {
+			st, err := store.Open(t.TempDir(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Put(fp, h); err != nil {
+				t.Fatal(err)
+			}
+			if artifacts[i], err = os.ReadFile(st.Path(fp)); err != nil {
+				t.Fatal(err)
 			}
 		}
-		if i%3 == 0 {
-			s.Metrics = map[string]float64{"alpha": r.Float64(), "buffer_wait": float64(r.Intn(100))}
-			s.Shot = &fl.ShotAcc{Head: r.Float64(), Medium: r.Float64(), Tail: r.Float64()}
+		if !bytes.Equal(artifacts[0], artifacts[1]) {
+			t.Fatalf("trial %d: artifact differs after upload:\n got  %s\n want %s", trial, artifacts[1], artifacts[0])
 		}
-		if i%4 == 0 {
-			s.Time = float64(i) * 1.5
-			s.Async = &fl.AsyncRoundStat{Buffer: 8, Waves: i, MeanStale: r.Float64() * 3, MaxStale: 7, StaleHist: []int{4, 2, 1, 1}}
-		}
-		h.Stats = append(h.Stats, s)
-	}
-	want, err := json.Marshal(h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := DecodeResult(EncodeResult(h, ""))
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotJSON, err := json.Marshal(got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(gotJSON) != string(want) {
-		t.Fatalf("decoded history JSON differs from original:\n got  %s\n want %s", gotJSON, want)
 	}
 }
 
+// TestStatsRoundtripExact: heartbeat progress crosses the wire bit-for-bit.
 func TestStatsRoundtripExact(t *testing.T) {
+	enc := NewEncoder()
 	r := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 100; trial++ {
-		stats := randStats(r, r.Intn(20))
-		got, err := DecodeStats(EncodeStats(stats, StatsOptions{}))
+		want := Stats{Rounds: edgeStats(r, r.Intn(20))}
+		body, err := enc.Encode(want)
 		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
+			t.Fatal(err)
 		}
-		statsEqual(t, got, stats)
+		var got Stats
+		decodeGzip(t, body, &got)
+		statsEqual(t, got.Rounds, want.Rounds)
 	}
 }
 
-// TestStatsQuantizedPerClass: the monitoring-path float16 option keeps
-// per-class accuracies within the documented 2⁻¹¹ relative error and leaves
-// every other column bit-exact.
-func TestStatsQuantizedPerClass(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	stats := make([]fl.RoundStat, 40)
-	for i := range stats {
-		stats[i].Round = i
-		stats[i].TestAcc = r.Float64()
-		stats[i].TrainLoss = r.Float64() * 3
-		stats[i].PerClass = make([]float64, 10)
-		for j := range stats[i].PerClass {
-			stats[i].PerClass[j] = r.Float64()
-		}
-	}
-	got, err := DecodeStats(EncodeStats(stats, StatsOptions{QuantizePerClass: true}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range stats {
-		if !bitsEq(got[i].TestAcc, stats[i].TestAcc) || !bitsEq(got[i].TrainLoss, stats[i].TrainLoss) {
-			t.Fatalf("row %d: scalar columns must stay lossless under quantization", i)
-		}
-		for j, want := range stats[i].PerClass {
-			gotV := got[i].PerClass[j]
-			bound := math.Abs(want) * 0x1p-11
-			if bound < 0x1p-25 {
-				bound = 0x1p-25 // subnormal-half absolute floor
-			}
-			if math.Abs(gotV-want) > bound {
-				t.Fatalf("row %d class %d: |%v - %v| > %v", i, j, gotV, want, bound)
-			}
-		}
-	}
-}
-
+// TestRunStatusRoundtrip: a plain-JSON run-status body, as fedserve writes
+// it, decodes to the same state.
 func TestRunStatusRoundtrip(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 50; trial++ {
-		rs := &RunStatus{
+		want := RunStatus{
 			ID:       "a1b2c3",
-			Status:   []string{"queued", "running", "done", "error"}[r.Intn(4)],
+			Status:   []string{"queued", "running", "done", "failed"}[r.Intn(4)],
 			Error:    []string{"", "boom"}[r.Intn(2)],
-			Progress: randStats(r, r.Intn(10)),
+			Progress: edgeStats(r, r.Intn(10)),
 		}
 		if r.Intn(2) == 0 {
-			rs.History = &fl.History{Method: "fedwcm", Stats: randStats(r, r.Intn(10))}
+			want.History = edgeHistory(r, r.Intn(10))
 		}
-		got, err := DecodeRunStatus(EncodeRunStatus(rs))
+		body, err := json.Marshal(want)
 		if err != nil {
+			t.Fatal(err)
+		}
+		var got RunStatus
+		if _, err := Decode(bytes.NewReader(append(body, '\n')), false, &got); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if got.ID != rs.ID || got.Status != rs.Status || got.Error != rs.Error {
-			t.Fatalf("trial %d: header mismatch: %+v vs %+v", trial, got, rs)
+		if got.ID != want.ID || got.Status != want.Status || got.Error != want.Error {
+			t.Fatalf("trial %d: header mismatch: %+v vs %+v", trial, got, want)
 		}
-		statsEqual(t, got.Progress, rs.Progress)
-		if (got.History == nil) != (rs.History == nil) {
+		statsEqual(t, got.Progress, want.Progress)
+		if (got.History == nil) != (want.History == nil) {
 			t.Fatalf("trial %d: history presence mismatch", trial)
 		}
-		if rs.History != nil {
-			statsEqual(t, got.History.Stats, rs.History.Stats)
+		if want.History != nil {
+			statsEqual(t, got.History.Stats, want.History.Stats)
 		}
 	}
 }
 
-// TestDecodeRejectsCorrupt: every truncation of a valid message, plus bad
-// magic and kind confusion, must error — never panic, never silently
-// succeed with wrong data.
+// TestDecodeRejectsCorrupt: every truncation of a valid body, a flipped
+// checksum, bad gzip magic and trailing data must error — never panic,
+// never silently succeed with wrong data. An empty body is io.EOF.
 func TestDecodeRejectsCorrupt(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
-	h := &fl.History{Method: "fedwcm", Stats: randStats(r, 8)}
-	p := EncodeResult(h, "err")
-	for n := 0; n < len(p); n++ {
-		if _, _, err := DecodeResult(p[:n]); err == nil {
-			t.Fatalf("truncation to %d bytes decoded without error", n)
-		}
-	}
-	bad := append([]byte{}, p...)
-	bad[0] = 'X'
-	if _, _, err := DecodeResult(bad); err == nil {
-		t.Fatal("bad magic accepted")
-	}
-	if _, err := DecodeStats(p); err == nil {
-		t.Fatal("result payload accepted as stats")
-	}
-	if _, err := DecodeRunStatus(p); err == nil {
-		t.Fatal("result payload accepted as run status")
-	}
-}
-
-// TestWireSmallerThanJSON pins the transport-size win on the reference
-// workload (SampleHistory: engine-shaped accuracy quotients, plateaus,
-// shot/async blocks): the wire encoding must be at least 5× smaller than
-// the JSON body it replaces. BENCH_wire.json tracks the exact numbers.
-func TestWireSmallerThanJSON(t *testing.T) {
-	h := SampleHistory(100, 10)
-	jsonBody, err := json.Marshal(struct {
-		History *fl.History `json:"history,omitempty"`
-		Error   string      `json:"error,omitempty"`
-	}{History: h})
+	res := Result{History: edgeHistory(r, 8), Error: "err"}
+	gz, err := NewEncoder().Encode(res)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wireBody := EncodeResult(h, "")
-	t.Logf("json=%d wire=%d ratio=%.1f", len(jsonBody), len(wireBody), float64(len(jsonBody))/float64(len(wireBody)))
-	if len(wireBody)*5 > len(jsonBody) {
-		t.Fatalf("wire encoding %d bytes not ≥5× smaller than JSON %d bytes", len(wireBody), len(jsonBody))
+	plain, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name    string
+		body    []byte
+		gzipped bool
+	}{{"gzip", gz, true}, {"plain", plain, false}} {
+		var v Result
+		if _, err := Decode(bytes.NewReader(nil), c.gzipped, &v); !errors.Is(err, io.EOF) {
+			t.Fatalf("%s: empty body: err = %v, want io.EOF", c.name, err)
+		}
+		for n := 1; n < len(c.body); n++ {
+			if _, err := Decode(bytes.NewReader(c.body[:n]), c.gzipped, &v); err == nil {
+				t.Fatalf("%s: truncation to %d of %d bytes decoded without error", c.name, n, len(c.body))
+			}
+		}
+		if _, err := Decode(bytes.NewReader(append(c.body[:len(c.body):len(c.body)], "{}"...)), c.gzipped, &v); err == nil {
+			t.Fatalf("%s: trailing data accepted", c.name)
+		}
+	}
+
+	badCRC := append([]byte{}, gz...)
+	badCRC[len(badCRC)-8] ^= 0x01 // first byte of the CRC-32 trailer
+	var v Result
+	if _, err := Decode(bytes.NewReader(badCRC), true, &v); !errors.Is(err, gzip.ErrChecksum) {
+		t.Fatalf("flipped checksum: err = %v, want gzip.ErrChecksum", err)
+	}
+	badMagic := append([]byte{}, gz...)
+	badMagic[0] = 'X'
+	if _, err := Decode(bytes.NewReader(badMagic), true, &v); !errors.Is(err, gzip.ErrHeader) {
+		t.Fatalf("bad magic: err = %v, want gzip.ErrHeader", err)
+	}
+	if _, err := Decode(bytes.NewReader(gz), false, &v); err == nil {
+		t.Fatal("gzip body accepted as plain JSON")
 	}
 }
