@@ -1,6 +1,7 @@
 package dispatch
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -31,10 +32,9 @@ type CoordinatorConfig struct {
 	// declare at registration. 0 = 8.
 	MaxWorkerSlots int
 	// WALPath, when non-empty, backs the queue with a write-ahead log
-	// (internal/dispatch/wal): submit/lease/requeue/complete transitions are
-	// journaled with per-append fsyncs, and NewCoordinator replays the log so
-	// a restarted coordinator re-enters pending jobs and requeues previously
-	// leased ones without consuming an attempt. Empty = in-memory only.
+	// (internal/dispatch/wal) that journals every queue transition, and
+	// NewCoordinator replays it so a restarted coordinator re-enters the
+	// jobs that were live. Empty = in-memory only.
 	WALPath string
 	// WALCompactEvery checkpoints the WAL (rewriting it down to the live job
 	// set) after this many completed jobs. 0 = 1024.
@@ -56,7 +56,9 @@ type CoordinatorConfig struct {
 // a requeued job finished by two workers, a tardy worker acking after its
 // lease expired — are idempotent by content address. Lease expiry requeues
 // the job (capped by MaxAttempts); an explicit deregistration requeues
-// without consuming an attempt (clean handover).
+// without consuming an attempt (clean handover). Every such rule lives in
+// the queue state machine (queue.go); the Coordinator adds HTTP, handles,
+// progress relay, journaling, metrics and spans around it.
 //
 // Mount attaches the worker-facing endpoints to a mux; internal/serve does
 // this for any Executor that implements it, so `fedserve -remote` serves
@@ -64,89 +66,47 @@ type CoordinatorConfig struct {
 type Coordinator struct {
 	cfg CoordinatorConfig
 
-	mu      sync.Mutex
-	workers map[string]*remoteWorker
-	jobs    map[string]*remoteJob // every non-terminal job by fingerprint
-	pending []*remoteJob          // FIFO awaiting a lease; requeues go to the front
-	notify  chan struct{}         // closed+remade when work or capacity appears
-	space   chan struct{}         // closed+remade when the pending queue shrinks
-	seq     uint64
+	mu   sync.Mutex
+	q    *queue
+	wake chan struct{} // closed+remade on every queue change
+	seq  uint64        // worker ids handed out
 
 	closed    chan struct{}
 	closeOnce sync.Once
 	reaperWG  sync.WaitGroup
 
-	// Durability state. wal is nil on an in-memory coordinator. walMu gates
-	// log access: appends hold it shared (the log group-commits internally),
-	// checkpoints hold it exclusively so a compaction can never discard a
-	// concurrently acknowledged record. Appends never run under c.mu — an
-	// fsync inside the coordinator lock would serialize every handler behind
-	// the disk.
-	walMu      sync.RWMutex
+	// Durability state, guarded by c.mu; wal is nil on an in-memory
+	// coordinator. Only Submit waits for an fsync, outside c.mu.
 	wal        *wal.Log
-	recovered  int // jobs replayed from the WAL at startup (guarded by c.mu)
-	reattached int // leases adopted by re-attaching workers (guarded by c.mu)
-	completes  int // terminal jobs since the last checkpoint (guarded by c.mu)
+	recovered  int // jobs replayed from the WAL at startup
+	reattached int // leases adopted by re-attaching workers
+	completes  int // terminal records since the last checkpoint
 
 	cm coordMetrics
 }
 
-type remoteWorker struct {
-	id       string
-	name     string
-	slots    int // max concurrent leases
-	inflight map[string]*remoteJob
-	lastSeen time.Time
-}
-
-// label is the worker's metric label: the operator-chosen name when one was
-// registered (stable across restarts), the coordinator-assigned id otherwise.
-func (w *remoteWorker) label() string {
-	if w.name != "" {
-		return w.name
-	}
-	return w.id
-}
-
-// remoteJob states.
-const (
-	jobPending = iota
-	jobLeased
-)
-
+// remoteJob is the coordinator's side of a queued job: its handle, the
+// submitters' callbacks and the progress relay. Where the job sits, its
+// lease and its attempts belong to the queue's qjob. c.mu guards both.
 type remoteJob struct {
 	h        *handle
 	onRound  []func(fl.RoundStat)
 	onStart  []func()
 	started  bool
-	state    int
-	worker   string // current lease holder when leased
-	expiry   time.Time
-	attempts int // leases granted so far
-	// Observation timestamps: enqueuedAt feeds the lease-wait histogram
-	// (reset on requeue — each wait is its own observation), leasedAt the
-	// lease-hold histogram and lease spans, lastBeat the heartbeat-gap one.
-	enqueuedAt time.Time
-	leasedAt   time.Time
-	lastBeat   time.Time
-	// Heartbeat dedup across attempts: a requeued job is re-run from round
-	// zero by the next worker (runs are deterministic, so the stats repeat
-	// exactly). relayed counts rounds already delivered to subscribers over
-	// the job's lifetime; attemptSeen counts rounds received in the current
-	// attempt and resets on each lease grant, so only genuinely new rounds
-	// are relayed.
-	//
-	// relayMu — not c.mu — guards relayed/attemptSeen and is held across the
-	// subscriber callbacks themselves, so a heartbeat relay and the result
-	// backfill can never interleave or reorder a job's round stream. Lock
-	// order is c.mu → relayMu; delivery only ever holds relayMu.
+	lastBeat time.Time // feeds the heartbeat-gap histogram
+	// Heartbeat dedup across attempts: a retry re-runs from round zero and
+	// repeats the stats exactly, so relayed counts rounds delivered over the
+	// job's lifetime and attemptSeen rounds received in the current attempt
+	// (reset on each grant); only rounds past relayed are relayed. relayMu —
+	// not c.mu — guards both and is held across the subscriber callbacks, so
+	// a heartbeat relay and the result backfill never interleave. Lock order
+	// is c.mu → relayMu.
 	relayMu     sync.Mutex
 	relayed     int
 	attemptSeen int
-	// suppressRelay (guarded by c.mu) marks an adopted lease: the worker is
-	// mid-stream, so its heartbeat rounds cannot be ordered against what an
-	// earlier incarnation already delivered. Heartbeats only extend the
-	// lease; the result upload backfills the full ordered history.
+	// suppressRelay marks an adopted lease: a mid-stream worker's rounds
+	// cannot be ordered against what an earlier incarnation delivered, so
+	// only the result upload's backfill relays them.
 	suppressRelay bool
 }
 
@@ -181,12 +141,10 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		cfg.Tracer = obs.DefaultTracer()
 	}
 	c := &Coordinator{
-		cfg:     cfg,
-		workers: make(map[string]*remoteWorker),
-		jobs:    make(map[string]*remoteJob),
-		notify:  make(chan struct{}),
-		space:   make(chan struct{}),
-		closed:  make(chan struct{}),
+		cfg:    cfg,
+		q:      newQueue(cfg.LeaseTTL, cfg.MaxAttempts),
+		wake:   make(chan struct{}),
+		closed: make(chan struct{}),
 	}
 	c.cm = newCoordMetrics(cfg.Metrics, c.Stats)
 	if cfg.WALPath != "" {
@@ -199,15 +157,11 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	return c, nil
 }
 
-// recoverWAL opens (creating if absent) the write-ahead log and re-enters
-// every non-terminal job it journals. Jobs whose artifact already landed in
+// recoverWAL opens (creating if absent) the write-ahead log and rebuilds
+// the queue from it (queue.recover). Jobs whose artifact already landed in
 // the store — the crash window between store.Put and the complete record —
-// are dropped as done. A job that was leased when the log ended requeues at
-// the front WITHOUT consuming an attempt: the crash was the coordinator's,
-// not the worker's, and the worker may still finish it (heartbeat adoption
-// in handleHeartbeat resumes such a lease without a recompute). Recovery
-// ends with a checkpoint, so replayed completes don't accrete across
-// restarts.
+// are dropped as done. Recovery ends with a checkpoint, so replayed history
+// doesn't accrete across restarts.
 func (c *Coordinator) recoverWAL() error {
 	lg, recov, err := wal.Open(c.cfg.WALPath)
 	if err != nil {
@@ -217,166 +171,126 @@ func (c *Coordinator) recoverWAL() error {
 	if recov.Torn {
 		c.cfg.Logf("dispatch: wal %s: truncated %d-byte torn tail (crash mid-append)", c.cfg.WALPath, recov.Truncated)
 	}
-	var leased, pending []*remoteJob
-	now := time.Now()
-	for _, js := range recov.Jobs {
-		if _, ok, gerr := c.cfg.Store.Get(js.ID); gerr == nil && ok {
-			continue // already computed: the store, not the WAL, is the artifact of record
-		}
-		j := &remoteJob{
-			h:          newHandle(Job{ID: js.ID, Spec: js.Spec}),
-			state:      jobPending,
-			attempts:   js.Attempts,
-			enqueuedAt: now,
-		}
-		if js.Leased && j.attempts > 0 {
-			j.attempts--
-		}
-		c.jobs[js.ID] = j
-		if js.Leased {
-			leased = append(leased, j)
+	skipped := c.q.recover(recov.Records, time.Now())
+	for id, j := range c.q.jobs {
+		if _, ok, gerr := c.cfg.Store.Get(id); gerr == nil && ok {
+			c.q.complete(j, "stored") // the store, not the WAL, is the artifact of record
 		} else {
-			pending = append(pending, j)
+			j.rj = &remoteJob{h: newHandle(Job{ID: id, Spec: j.spec})}
 		}
 	}
-	// Previously leased jobs go first: they have waited longest, and their
-	// workers may re-attach to them.
-	c.pending = append(leased, pending...)
-	c.recovered = len(c.pending)
-	if c.recovered > 0 || recov.Completes > 0 {
-		c.cfg.Logf("dispatch: wal %s: recovered %d jobs (%d previously leased; %d already terminal)",
-			c.cfg.WALPath, c.recovered, len(leased), recov.Records-len(recov.Jobs))
+	c.recovered = len(c.q.jobs)
+	if len(recov.Records) > 0 {
+		c.cfg.Logf("dispatch: wal %s: recovered %d jobs from %d records (%d did not apply)",
+			c.cfg.WALPath, c.recovered, len(recov.Records), skipped)
 	}
-	c.checkpoint()
-	return nil
-}
-
-// appendWAL journals records on a durable coordinator (no-op otherwise).
-// Never call it while holding c.mu: appends fsync. A failed append is
-// reported to the caller so acknowledgement-bearing paths (Submit) can
-// fail closed instead of promising durability the log didn't deliver.
-func (c *Coordinator) appendWAL(recs ...wal.Record) error {
-	if c.wal == nil || len(recs) == 0 {
-		return nil
-	}
-	c.walMu.RLock()
-	err := c.wal.Append(recs...)
-	c.walMu.RUnlock()
-	if err != nil {
-		c.cm.walErrors.Inc()
-		c.cfg.Logf("dispatch: wal append: %v", err)
-		return err
-	}
-	c.cm.walRecords.Add(uint64(len(recs)))
-	return nil
-}
-
-// appendWALAsync journals drain-path records (lease grants, requeues,
-// completes) through the log's group commit without waiting for the fsync.
-// Each of these transitions is individually safe to lose to a crash —
-// recovery replays the pre-transition state and the queue converges (a
-// lost lease replays as pending and the live worker re-attaches via
-// heartbeat adoption; a lost complete replays the job, which the store
-// fast-path drops on recovery; a lost requeue expires again) — so the
-// drain path amortizes fsyncs in the background leader instead of paying
-// commit latency on every transition.
-func (c *Coordinator) appendWALAsync(recs ...wal.Record) {
-	if c.wal == nil || len(recs) == 0 {
-		return
-	}
-	c.walMu.RLock()
-	err := c.wal.AppendAsync(recs...)
-	c.walMu.RUnlock()
-	if err != nil {
-		c.cm.walErrors.Inc()
-		c.cfg.Logf("dispatch: wal append: %v", err)
-		return
-	}
-	c.cm.walRecords.Add(uint64(len(recs)))
-}
-
-// checkpoint rewrites the WAL down to the live job set. The exclusive walMu
-// hold means no append can land between the snapshot and the swap and be
-// lost with the old file.
-func (c *Coordinator) checkpoint() {
-	if c.wal == nil {
-		return
-	}
-	c.walMu.Lock()
-	defer c.walMu.Unlock()
 	c.mu.Lock()
-	live := make([]wal.Record, 0, len(c.jobs)+4)
-	for id, j := range c.jobs {
-		live = append(live, wal.Record{Type: wal.TypeSubmit, Job: id, Spec: j.h.job.Spec, Attempts: j.attempts})
-		if j.state == jobLeased {
-			live = append(live, wal.Record{Type: wal.TypeLease, Job: id, Worker: j.worker, Attempts: j.attempts})
+	c.checkpointLocked()
+	c.mu.Unlock()
+	return nil
+}
+
+// journalLocked hands a transition's records to the WAL (no-op in memory).
+// Buffering them under c.mu, which serialized the transitions, makes
+// journal order equal state order; losing the unsynced tail to a crash
+// replays a state the queue really passed through. Every WALCompactEvery
+// terminal records it checkpoints, so the log tracks the live job set.
+func (c *Coordinator) journalLocked(recs []wal.Record) {
+	if c.wal == nil || len(recs) == 0 {
+		return
+	}
+	if err := c.wal.AppendAsync(recs...); err != nil {
+		c.cm.walErrors.Inc()
+		c.cfg.Logf("dispatch: wal append: %v", err)
+		return
+	}
+	c.cm.walRecords.Add(uint64(len(recs)))
+	for _, r := range recs {
+		if r.Type == wal.TypeComplete {
+			c.completes++
 		}
 	}
+	if c.completes >= c.cfg.WALCompactEvery {
+		c.checkpointLocked()
+	}
+}
+
+// checkpointLocked rewrites the WAL down to the queue's snapshot; under
+// c.mu no record can be buffered between the snapshot and the swap.
+func (c *Coordinator) checkpointLocked() {
 	c.completes = 0
-	c.mu.Unlock()
-	if err := c.wal.Compact(live); err != nil {
+	if err := c.wal.Compact(c.q.snapshot()); err != nil {
 		c.cfg.Logf("dispatch: wal checkpoint: %v", err)
 		return
 	}
 	c.cm.walCheckpoints.Inc()
 }
 
-// noteCompleteAndMaybeCheckpoint journals a terminal transition and, every
-// WALCompactEvery completions, checkpoints so the log tracks the live set
-// instead of the full submission history.
-func (c *Coordinator) noteCompleteAndMaybeCheckpoint(jid, status string) {
-	if c.wal == nil {
-		return
-	}
-	c.appendWALAsync(wal.Record{Type: wal.TypeComplete, Job: jid, Status: status})
-	c.mu.Lock()
-	c.completes++
-	due := c.completes >= c.cfg.WALCompactEvery
-	c.mu.Unlock()
-	if due {
-		c.checkpoint()
-	}
-}
-
-// endLeaseLocked observes the end of j's current lease (upload, expiry or
-// clean handover): the lease-hold histogram and a "dispatch.lease" span
-// under the job's trace ID. outcome "" means a successful upload; anything
-// else lands in the span's error field. Caller holds c.mu.
-func (c *Coordinator) endLeaseLocked(j *remoteJob, wid, outcome string) {
-	if j.leasedAt.IsZero() {
-		return
-	}
-	now := time.Now()
+// endLeaseLocked observes the end of j's latest lease: the lease-hold
+// histogram and a "dispatch.lease" span under the job's trace ID, whose
+// error field carries outcome ("" for a successful upload).
+func (c *Coordinator) endLeaseLocked(j *qjob, outcome string, now time.Time) {
 	held := now.Sub(j.leasedAt)
 	c.cm.leaseHold.Observe(held.Seconds())
-	sp := obs.Span{
-		Trace: j.h.job.ID, Name: "dispatch.lease",
+	c.cfg.Tracer.Record(obs.Span{
+		Trace: j.id, Name: "dispatch.lease",
 		Start: j.leasedAt.UnixMicro(), DurMS: float64(held) / float64(time.Millisecond),
-		Worker: wid, Attempt: j.attempts, Err: outcome,
-	}
-	c.cfg.Tracer.Record(sp)
-	if wk, ok := c.workers[wid]; ok {
-		c.cm.slotsBusy.With(wk.label()).Set(float64(len(wk.inflight)))
-	}
-	j.leasedAt = time.Time{}
+		Worker: j.worker, Attempt: j.attempts, Err: outcome,
+	})
+	c.slotsLocked(c.q.workers[j.worker])
 }
 
-// notifyLocked wakes every lease long-poller; caller holds c.mu.
-func (c *Coordinator) notifyLocked() {
-	close(c.notify)
-	c.notify = make(chan struct{})
+// slotsLocked publishes a worker's busy-slot gauge, labelled with its
+// registered name (stable across restarts) or else its id.
+func (c *Coordinator) slotsLocked(wk *qworker) {
+	if wk != nil {
+		c.cm.slotsBusy.With(cmp.Or(wk.name, wk.id)).Set(float64(len(wk.inflight)))
+	}
 }
 
-// spaceLocked wakes every blocked Submit; caller holds c.mu.
-func (c *Coordinator) spaceLocked() {
-	close(c.space)
-	c.space = make(chan struct{})
+// grantedLocked does the coordinator's side of a lease grant or adoption
+// and returns the OnStart callbacks to run outside c.mu, if any.
+func (c *Coordinator) grantedLocked(j *qjob, recs []wal.Record, now time.Time) []func() {
+	c.journalLocked(recs)
+	c.cm.leaseWait.Observe(now.Sub(j.enqueued).Seconds())
+	c.slotsLocked(c.q.workers[j.worker])
+	rj := j.rj
+	rj.lastBeat = now
+	rj.relayMu.Lock()
+	rj.attemptSeen = 0 // a fresh attempt re-runs from round zero
+	rj.relayMu.Unlock()
+	c.wakeLocked()
+	starts := rj.onStart // nil once started: Submit calls OnStart itself then
+	rj.started, rj.onStart = true, nil
+	return starts
+}
+
+// finishLocked completes j with a terminal status; a held lease ends with
+// outcome. The caller completes the handle after unlocking.
+func (c *Coordinator) finishLocked(j *qjob, status, outcome string, now time.Time) {
+	leased := j.state == jobLeased
+	c.journalLocked(c.q.complete(j, status))
+	if leased {
+		c.endLeaseLocked(j, outcome, now)
+	}
+	c.wakeLocked()
+}
+
+// wakeLocked wakes every lease long-poll and blocked Submit; caller holds
+// c.mu.
+func (c *Coordinator) wakeLocked() {
+	close(c.wake)
+	c.wake = make(chan struct{})
 }
 
 // Submit queues the job for the next free worker. Identical in-flight
 // submissions coalesce onto one job (their progress callbacks are all
 // relayed), and a job whose artifact is already stored completes
-// immediately without queueing — cached cells are never re-shipped.
+// immediately without queueing — cached cells are never re-shipped. On a
+// durable coordinator Submit returns only once the job's submit record is
+// on disk. The job is leasable as soon as the record is buffered: any
+// lease or complete record for it follows in the journal, so a crash
+// before the fsync loses them together.
 func (c *Coordinator) Submit(job Job, opts SubmitOpts) (Handle, error) {
 	for {
 		select {
@@ -402,123 +316,90 @@ func (c *Coordinator) Submit(job Job, opts SubmitOpts) (Handle, error) {
 			return nil, ErrClosed
 		default:
 		}
-		if j, ok := c.jobs[job.ID]; ok { // single-flight: share the execution
-			if opts.OnRound != nil {
-				j.onRound = append(j.onRound, opts.OnRound)
-			}
-			if opts.OnStart != nil {
-				if j.started {
-					c.mu.Unlock()
-					opts.OnStart()
-					return j.h, nil
-				}
-				j.onStart = append(j.onStart, opts.OnStart)
-			}
-			c.mu.Unlock()
-			return j.h, nil
-		}
-		if len(c.pending) >= c.cfg.Queue {
-			space := c.space
+		j := c.q.jobs[job.ID]
+		if j == nil && len(c.q.pending) >= c.cfg.Queue {
+			wake := c.wake
 			c.mu.Unlock()
 			if !opts.Block {
 				return nil, ErrQueueFull
 			}
 			select {
-			case <-space:
+			case <-wake:
 				continue // re-check from the top (including the store)
 			case <-c.closed:
 				return nil, ErrClosed
 			}
 		}
-		j := &remoteJob{h: newHandle(job), state: jobPending, enqueuedAt: time.Now()}
+		j, recs := c.q.submit(job.ID, job.Spec, time.Now())
+		created := recs != nil
+		if created {
+			j.rj = &remoteJob{h: newHandle(job)}
+			c.journalLocked(recs)
+			c.wakeLocked()
+		}
+		rj := j.rj
 		if opts.OnRound != nil {
-			j.onRound = append(j.onRound, opts.OnRound)
+			rj.onRound = append(rj.onRound, opts.OnRound)
 		}
-		if opts.OnStart != nil {
-			j.onStart = append(j.onStart, opts.OnStart)
+		startNow := opts.OnStart != nil && rj.started
+		if opts.OnStart != nil && !rj.started {
+			rj.onStart = append(rj.onStart, opts.OnStart)
 		}
-		c.jobs[job.ID] = j
-		if c.wal == nil {
-			c.pending = append(c.pending, j)
-			c.notifyLocked()
-			c.mu.Unlock()
-			return j.h, nil
-		}
-		// Durable submit: the job is visible for coalescing (in c.jobs) but
-		// not leasable until its record is on disk — a lease granted before
-		// the fsync could complete a job a crashed coordinator would forget
-		// it ever accepted. The fsync itself runs outside c.mu; concurrent
-		// submitters share it via the log's group commit.
 		c.mu.Unlock()
-		if err := c.appendWAL(wal.Record{Type: wal.TypeSubmit, Job: job.ID, Spec: job.Spec}); err != nil {
-			c.mu.Lock()
-			if c.jobs[job.ID] == j {
-				delete(c.jobs, job.ID)
-			}
-			c.mu.Unlock()
-			j.h.complete(nil, err)
-			return nil, err
+		if startNow {
+			opts.OnStart()
 		}
-		c.mu.Lock()
+		if c.wal == nil {
+			return rj.h, nil
+		}
+		// Concurrent submitters share the fsync via group commit. A coalesced
+		// submission waits too: its acknowledgement promises the same record.
+		err := c.wal.Sync()
 		select {
 		case <-c.closed: // Close raced the fsync and already failed the handle
-			c.mu.Unlock()
 			return nil, ErrClosed
 		default:
 		}
-		c.pending = append(c.pending, j)
-		c.notifyLocked()
-		c.mu.Unlock()
-		return j.h, nil
+		if err != nil {
+			c.cm.walErrors.Inc()
+			if created {
+				c.mu.Lock()
+				c.finishLocked(j, "failed", "wal append failed", time.Now())
+				c.mu.Unlock()
+				rj.h.complete(nil, err)
+			}
+			return nil, err
+		}
+		return rj.h, nil
 	}
 }
 
 // Close fails every non-terminal job with ErrClosed and stops the reaper.
-// Workers discover the shutdown on their next poll (connection refused or
-// 404) and re-register when a coordinator returns. On a durable
-// coordinator the WAL is closed WITHOUT journaling completes for the
-// drained jobs: shutdown is not completion, and the next NewCoordinator on
-// the same path re-enters them.
+// Workers discover the shutdown on their next poll and re-register when a
+// coordinator returns. The WAL journals no completes for the drained jobs
+// (queue.close): the next NewCoordinator on the same path re-enters them.
 func (c *Coordinator) Close() {
 	c.closeOnce.Do(func() {
 		close(c.closed)
 		c.mu.Lock()
-		for id, j := range c.jobs {
-			j.h.complete(nil, ErrClosed)
-			delete(c.jobs, id)
+		for _, j := range c.q.close() {
+			j.rj.h.complete(nil, ErrClosed)
 		}
-		c.pending = nil
-		for _, w := range c.workers {
-			w.inflight = make(map[string]*remoteJob)
-		}
-		c.notifyLocked()
-		c.spaceLocked()
-		c.mu.Unlock()
+		c.wakeLocked()
 		if c.wal != nil {
-			c.walMu.Lock()
 			c.wal.Close()
-			c.walMu.Unlock()
 		}
+		c.mu.Unlock()
 	})
 	c.reaperWG.Wait()
 }
 
 var _ Executor = (*Coordinator)(nil)
 
-// reaper expires leases: a job whose worker stopped heartbeating is
-// requeued to the front of the queue (it has waited longest), consuming
-// one attempt; past MaxAttempts it fails for good. Workers with no
-// in-flight leases that have not been seen for ten TTLs are pruned.
+// reaper expires leases (queue.expire) on a ticker.
 func (c *Coordinator) reaper() {
 	defer c.reaperWG.Done()
-	tick := c.cfg.LeaseTTL / 4
-	if tick < 5*time.Millisecond {
-		tick = 5 * time.Millisecond
-	}
-	if tick > time.Second {
-		tick = time.Second
-	}
-	t := time.NewTicker(tick)
+	t := time.NewTicker(min(max(c.cfg.LeaseTTL/4, 5*time.Millisecond), time.Second))
 	defer t.Stop()
 	for {
 		select {
@@ -531,52 +412,30 @@ func (c *Coordinator) reaper() {
 }
 
 func (c *Coordinator) expireLeases(now time.Time) {
-	var walRecs []wal.Record
 	c.mu.Lock()
-	woke := false
-	for wid, w := range c.workers {
-		for id, j := range w.inflight {
-			if now.Before(j.expiry) {
-				continue
-			}
-			delete(w.inflight, id)
-			j.worker = ""
-			c.cm.expiries.Inc()
-			c.endLeaseLocked(j, wid, "lease expired")
-			if j.attempts >= c.cfg.MaxAttempts {
-				c.cfg.Logf("dispatch: job %.12s: lease expired on worker %s, attempt %d/%d — failing",
-					id, wid, j.attempts, c.cfg.MaxAttempts)
-				j.h.complete(nil, fmt.Errorf("dispatch: job %.12s failed: lease expired after %d attempts", id, j.attempts))
-				delete(c.jobs, id)
-				walRecs = append(walRecs, wal.Record{Type: wal.TypeComplete, Job: id, Status: "failed"})
-				continue
-			}
-			c.cfg.Logf("dispatch: job %.12s: lease expired on worker %s, attempt %d/%d — requeueing",
-				id, wid, j.attempts, c.cfg.MaxAttempts)
-			j.state = jobPending
-			j.enqueuedAt = now
+	defer c.mu.Unlock()
+	lapsed, recs := c.q.expire(now)
+	for _, j := range lapsed {
+		c.cm.expiries.Inc()
+		c.endLeaseLocked(j, "lease expired", now)
+		fate := "requeueing"
+		if j.state == jobDone {
+			fate = "failing"
+			j.rj.h.complete(nil, fmt.Errorf("dispatch: job %.12s failed: lease expired after %d attempts", j.id, j.attempts))
+		} else {
 			c.cm.requeues.Inc()
-			c.pending = append([]*remoteJob{j}, c.pending...)
-			walRecs = append(walRecs, wal.Record{Type: wal.TypeRequeue, Job: id, Attempts: j.attempts})
-			woke = true
 		}
-		if len(w.inflight) == 0 && now.Sub(w.lastSeen) > 10*c.cfg.LeaseTTL {
-			delete(c.workers, wid)
-		}
+		c.cfg.Logf("dispatch: job %.12s: lease expired on worker %s, attempt %d/%d — %s",
+			j.id, j.worker, j.attempts, c.cfg.MaxAttempts, fate)
 	}
-	if woke {
-		c.notifyLocked()
+	c.journalLocked(recs)
+	if len(lapsed) > 0 {
+		c.wakeLocked()
 	}
-	c.mu.Unlock()
-	// Journal outside c.mu. Crash windows here are safe in both directions:
-	// a requeue the log missed replays as "leased" and requeues on recovery
-	// anyway; an exhausted-fail the log missed replays as one more requeue
-	// and fails again on its next expiry.
-	c.appendWALAsync(walRecs...)
 }
 
-// Stats is a point-in-time snapshot of the coordinator, reported by sweep
-// status responses (and useful in tests).
+// CoordinatorStats is a point-in-time snapshot of the coordinator,
+// reported by sweep status responses.
 type CoordinatorStats struct {
 	Workers int `json:"workers"`
 	Pending int `json:"pending"`
@@ -595,10 +454,10 @@ func (c *Coordinator) Stats() CoordinatorStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := CoordinatorStats{
-		Workers: len(c.workers), Pending: len(c.pending),
+		Workers: len(c.q.workers), Pending: len(c.q.pending),
 		Durable: c.wal != nil, Recovered: c.recovered, Reattached: c.reattached,
 	}
-	for _, w := range c.workers {
+	for _, w := range c.q.workers {
 		st.Leased += len(w.inflight)
 	}
 	return st
@@ -684,20 +543,11 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, req *http.Request) {
 		bodyError(w, "registration", err)
 		return
 	}
-	if r.Slots <= 0 {
-		r.Slots = 1
-	}
-	if r.Slots > c.cfg.MaxWorkerSlots {
-		r.Slots = c.cfg.MaxWorkerSlots
-	}
+	r.Slots = min(max(r.Slots, 1), c.cfg.MaxWorkerSlots)
 	c.mu.Lock()
 	c.seq++
 	id := fmt.Sprintf("w-%d", c.seq)
-	c.workers[id] = &remoteWorker{
-		id: id, name: r.Name, slots: r.Slots,
-		inflight: make(map[string]*remoteJob),
-		lastSeen: time.Now(),
-	}
+	c.q.register(id, r.Name, r.Slots, time.Now())
 	c.mu.Unlock()
 	c.cfg.Logf("dispatch: worker %s registered (name %q, %d slots)", id, r.Name, r.Slots)
 	writeJSON(w, http.StatusCreated, registerResponse{
@@ -706,39 +556,31 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, req *http.Request) {
 }
 
 // handleDeregister is the clean-shutdown path: the worker's in-flight jobs
-// requeue immediately (to the front, without consuming an attempt) instead
-// of waiting out their leases.
+// requeue immediately (queue.handover: to the front, without consuming an
+// attempt) instead of waiting out their leases.
 func (c *Coordinator) handleDeregister(w http.ResponseWriter, req *http.Request) {
 	id := req.PathValue("id")
 	c.mu.Lock()
-	wk, ok := c.workers[id]
+	wk, ok := c.q.workers[id]
 	if !ok {
 		c.mu.Unlock()
 		httpErr(w, http.StatusNotFound, "unknown worker %s", id)
 		return
 	}
-	requeued := 0
-	var walRecs []wal.Record
-	for jid, j := range wk.inflight {
-		delete(wk.inflight, jid)
-		c.endLeaseLocked(j, id, "handover")
-		j.state, j.worker = jobPending, ""
-		j.attempts-- // clean handover: the retry budget is for crashes
-		j.enqueuedAt = time.Now()
-		c.cm.requeues.Inc()
-		c.pending = append([]*remoteJob{j}, c.pending...)
-		walRecs = append(walRecs, wal.Record{Type: wal.TypeRequeue, Job: jid, Attempts: j.attempts})
-		requeued++
+	now := time.Now()
+	for _, j := range wk.inflight {
+		c.endLeaseLocked(j, "handover", now)
 	}
-	delete(c.workers, id)
-	c.cm.slotsBusy.With(wk.label()).Set(0)
-	if requeued > 0 {
-		c.notifyLocked()
+	requeued, recs := c.q.handover(id, now)
+	c.journalLocked(recs)
+	c.cm.requeues.Add(uint64(len(requeued)))
+	c.slotsLocked(wk)
+	if len(requeued) > 0 {
+		c.wakeLocked()
 	}
 	c.mu.Unlock()
-	c.appendWALAsync(walRecs...) // journals the refunded attempt counts
-	c.cfg.Logf("dispatch: worker %s deregistered (%d jobs requeued)", id, requeued)
-	writeJSON(w, http.StatusOK, map[string]int{"requeued": requeued})
+	c.cfg.Logf("dispatch: worker %s deregistered (%d jobs requeued)", id, len(requeued))
+	writeJSON(w, http.StatusOK, map[string]int{"requeued": len(requeued)})
 }
 
 // handleLease hands the next pending job to the worker, long-polling up to
@@ -752,82 +594,44 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, req *http.Request) {
 		bodyError(w, "lease request", err)
 		return
 	}
-	wait := time.Duration(lr.WaitMS) * time.Millisecond
-	if wait > 30*time.Second {
-		wait = 30 * time.Second
-	}
-	deadline := time.Now().Add(wait)
+	deadline := time.Now().Add(min(time.Duration(lr.WaitMS)*time.Millisecond, 30*time.Second))
 	for {
 		c.mu.Lock()
-		wk, ok := c.workers[id]
-		if !ok {
+		now := time.Now()
+		if c.q.touch(id, now) == nil {
 			c.mu.Unlock()
 			httpErr(w, http.StatusNotFound, "unknown worker %s (re-register)", id)
 			return
 		}
-		wk.lastSeen = time.Now()
-		if len(wk.inflight) < wk.slots && len(c.pending) > 0 {
-			j := c.pending[0]
-			c.pending = c.pending[1:]
-			now := time.Now()
-			j.state, j.worker = jobLeased, id
-			j.expiry = now.Add(c.cfg.LeaseTTL)
-			j.attempts++
-			j.suppressRelay = false // a fresh attempt re-reports from round zero, so relaying can resume
-			j.relayMu.Lock()
-			j.attemptSeen = 0 // fresh attempt re-runs from round zero
-			j.relayMu.Unlock()
-			c.cm.leaseWait.Observe(now.Sub(j.enqueuedAt).Seconds())
-			j.leasedAt, j.lastBeat = now, now
-			wk.inflight[j.h.job.ID] = j
-			c.cm.slotsBusy.With(wk.label()).Set(float64(len(wk.inflight)))
-			starts := j.onStart
-			started := j.started
-			j.started, j.onStart = true, nil
-			attempts := j.attempts
-			c.spaceLocked()
+		if j, recs := c.q.lease(id, now); j != nil {
+			j.rj.suppressRelay = false // a fresh attempt re-reports from round zero, so relaying can resume
+			starts := c.grantedLocked(j, recs, now)
+			job := j.rj.h.job
 			c.mu.Unlock()
-			// Journal the grant without waiting for the fsync. If the append
-			// is lost to a crash, recovery simply replays the job as pending —
-			// the worker's in-flight computation re-attaches via heartbeat
-			// adoption, so the window costs nothing.
-			c.appendWALAsync(wal.Record{Type: wal.TypeLease, Job: j.h.job.ID, Worker: id, Attempts: attempts})
-			if !started {
-				for _, f := range starts {
-					f()
-				}
+			for _, f := range starts {
+				f()
 			}
-			w.Header().Set(obs.TraceHeader, j.h.job.ID)
-			writeJSON(w, http.StatusOK, leaseResponse{Job: j.h.job})
+			w.Header().Set(obs.TraceHeader, job.ID)
+			writeJSON(w, http.StatusOK, leaseResponse{Job: job})
 			return
 		}
-		notify := c.notify
+		wake := c.wake
 		c.mu.Unlock()
 		remaining := time.Until(deadline)
 		if remaining <= 0 {
 			w.WriteHeader(http.StatusNoContent)
 			return
 		}
-		timer := time.NewTimer(remaining)
 		select {
-		case <-notify:
-		case <-timer.C:
-		case <-req.Context().Done():
-		case <-c.closed:
-		}
-		timer.Stop()
-		select {
+		case <-wake:
+			continue
 		case <-req.Context().Done():
 			return
+		case <-time.After(remaining):
 		case <-c.closed:
-			w.WriteHeader(http.StatusNoContent)
-			return
-		default:
 		}
-		if !time.Now().Before(deadline) {
-			w.WriteHeader(http.StatusNoContent)
-			return
-		}
+		w.WriteHeader(http.StatusNoContent)
+		return
 	}
 }
 
@@ -835,15 +639,12 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, req *http.Request) {
 // worker its lease is gone (expired and requeued, or the job finished
 // elsewhere): abandon the work.
 //
-// A heartbeat for a job this worker does NOT hold, but which is sitting in
-// the pending queue, is a re-attach: the worker kept computing across a
-// coordinator restart (the job came back via WAL replay) or across its own
-// lease expiry, re-registered on 404, and is now heartbeating under its new
-// id. Adopting the lease — instead of answering 410 and forcing a recompute
-// — lets in-flight work survive a coordinator crash. Adoption counts as a
-// lease grant (attempts++, journaled); its heartbeat rounds are not relayed
-// because a mid-stream worker cannot be ordered against what an earlier
-// incarnation delivered — the result upload backfills the full history.
+// A heartbeat for a pending job the worker does NOT hold is a re-attach
+// (queue.adopt): the worker kept computing across a coordinator restart or
+// its own lease expiry, so in-flight work survives instead of being
+// recomputed. Its heartbeat rounds are not relayed — a mid-stream worker
+// cannot be ordered against what an earlier incarnation delivered — and
+// the result upload backfills the full history.
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, req *http.Request) {
 	wid, jid := req.PathValue("id"), req.PathValue("job")
 	var hb wire.Stats
@@ -855,79 +656,53 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, req *http.Request) 
 		return
 	}
 	c.mu.Lock()
-	wk, ok := c.workers[wid]
-	if !ok {
+	now := time.Now()
+	if c.q.touch(wid, now) == nil {
 		c.mu.Unlock()
 		httpErr(w, http.StatusNotFound, "unknown worker %s (re-register)", wid)
 		return
 	}
-	wk.lastSeen = time.Now()
-	j, held := wk.inflight[jid]
-	adopted := false
-	if !held {
-		j2, live := c.jobs[jid]
-		if !live || j2.state != jobPending || len(wk.inflight) >= wk.slots {
+	var starts []func()
+	j := c.q.extend(wid, jid, now)
+	if j == nil {
+		var recs []wal.Record
+		if j, recs = c.q.adopt(wid, jid, now); j == nil {
 			c.mu.Unlock()
 			httpErr(w, http.StatusGone, "lease on job %s lost", jid)
 			return
 		}
-		for i, p := range c.pending {
-			if p == j2 {
-				c.pending = append(c.pending[:i], c.pending[i+1:]...)
-				c.spaceLocked()
-				break
-			}
-		}
-		now := time.Now()
-		j2.state, j2.worker = jobLeased, wid
-		j2.attempts++
-		j2.suppressRelay = true
-		c.cm.leaseWait.Observe(now.Sub(j2.enqueuedAt).Seconds())
-		j2.leasedAt = now
-		wk.inflight[jid] = j2
-		c.cm.slotsBusy.With(wk.label()).Set(float64(len(wk.inflight)))
+		j.rj.suppressRelay = true
+		starts = c.grantedLocked(j, recs, now)
 		c.cm.reattached.Inc()
 		c.reattached++
-		j, adopted = j2, true
+		c.cfg.Logf("dispatch: job %.12s: worker %s re-attached mid-flight (attempt %d resumes)", jid, wid, j.attempts)
+	} else {
+		c.cm.beatGap.Observe(now.Sub(j.rj.lastBeat).Seconds())
+		j.rj.lastBeat = now
 	}
-	now := time.Now()
-	j.expiry = now.Add(c.cfg.LeaseTTL)
-	if !adopted {
-		c.cm.beatGap.Observe(now.Sub(j.lastBeat).Seconds())
-	}
-	j.lastBeat = now
-	subs := append([]func(fl.RoundStat){}, j.onRound...)
-	starts := j.onStart
-	started := j.started
-	j.started, j.onStart = true, nil
-	suppress := j.suppressRelay
-	attempts := j.attempts
+	rj := j.rj
+	subs := append([]func(fl.RoundStat){}, rj.onRound...)
+	suppress := rj.suppressRelay
 	c.mu.Unlock()
-	if adopted {
-		c.cfg.Logf("dispatch: job %.12s: worker %s re-attached mid-flight (attempt %d resumes)", jid, wid, attempts)
-		c.appendWALAsync(wal.Record{Type: wal.TypeLease, Job: jid, Worker: wid, Attempts: attempts})
-		if !started {
-			for _, f := range starts {
-				f()
-			}
-		}
+	for _, f := range starts {
+		f()
 	}
 	if !suppress && len(hb.Rounds) > 0 {
 		// Relay only rounds past the high-water mark: a retry of a requeued
 		// job re-reports the rounds its predecessor already delivered.
 		// relayMu is held across the subscriber calls themselves so a
 		// concurrent result backfill cannot interleave with this delivery.
-		j.relayMu.Lock()
+		rj.relayMu.Lock()
 		for _, st := range hb.Rounds {
-			j.attemptSeen++
-			if j.attemptSeen > j.relayed {
-				j.relayed = j.attemptSeen
+			rj.attemptSeen++
+			if rj.attemptSeen > rj.relayed {
+				rj.relayed = rj.attemptSeen
 				for _, f := range subs {
 					f(st)
 				}
 			}
 		}
-		j.relayMu.Unlock()
+		rj.relayMu.Unlock()
 	}
 	writeJSON(w, http.StatusOK, struct{}{})
 }
@@ -948,89 +723,73 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, req *http.Request) {
 	}
 	c.cm.wire.observeDecode("result", n, time.Since(start).Seconds())
 	c.mu.Lock()
-	if wk, ok := c.workers[wid]; ok {
-		wk.lastSeen = time.Now()
-	}
-	j, ok := c.jobs[jid]
-	if !ok {
+	now := time.Now()
+	c.q.touch(wid, now)
+	j := c.q.jobs[jid]
+	if j == nil || j.state == jobStoring {
 		c.mu.Unlock()
-		// Terminal already (or never submitted): the store arbitrates. An
-		// artifact under this fingerprint means an equivalent upload landed
-		// first — acknowledge the duplicate so the worker frees its slot.
-		if _, found, err := c.cfg.Store.Get(jid); err == nil && found {
-			c.cm.dup.Inc()
-			c.cm.uploads.With("duplicate").Inc()
-			writeJSON(w, http.StatusOK, resultResponse{Status: "duplicate"})
-			return
-		}
-		httpErr(w, http.StatusNotFound, "unknown job %s", jid)
-		return
-	}
-	// An error upload is only honoured from the current lease holder: a
-	// stale worker (lease expired, job requeued) reporting a worker-local
-	// failure must not kill a retry that is actively recomputing the job.
-	// Successful uploads are accepted from anyone — the result is a
-	// deterministic function of the job, so whoever finishes first wins.
-	if rr.Error != "" && (j.state != jobLeased || j.worker != wid) {
-		c.cm.uploads.With("rejected").Inc()
-		c.mu.Unlock()
-		httpErr(w, http.StatusGone, "lease on job %s lost; error discarded", jid)
-		return
-	}
-	// The span outcome is decided before the job is detached so the lease
-	// span carries it.
-	outcome := ""
-	switch {
-	case rr.Error != "":
-		outcome = "worker error"
-	case rr.History == nil || len(rr.History.Stats) == 0:
-		outcome = "empty history"
-	}
-	// Detach the job wherever it currently lives: its uploader's inflight
-	// set, another worker's (requeued + re-leased), or the pending queue.
-	subs := append([]func(fl.RoundStat){}, j.onRound...)
-	delete(c.jobs, jid)
-	if j.worker != "" {
-		if wk, ok := c.workers[j.worker]; ok {
-			delete(wk.inflight, jid)
-		}
-		c.endLeaseLocked(j, j.worker, outcome)
-	}
-	if j.state == jobPending {
-		for i, p := range c.pending {
-			if p == j {
-				c.pending = append(c.pending[:i], c.pending[i+1:]...)
-				// The queue shrank: wake submitters blocked on a full queue,
-				// not just lease long-pollers.
-				c.spaceLocked()
-				break
+		// Terminal already, being stored by an earlier upload, or never
+		// submitted: the store arbitrates. An artifact under this fingerprint
+		// (or one on its way) means an equivalent upload landed first —
+		// acknowledge the duplicate so the worker frees its slot.
+		if j == nil {
+			if _, found, err := c.cfg.Store.Get(jid); err != nil || !found {
+				httpErr(w, http.StatusNotFound, "unknown job %s", jid)
+				return
 			}
 		}
+		c.cm.dup.Inc()
+		c.cm.uploads.With("duplicate").Inc()
+		writeJSON(w, http.StatusOK, resultResponse{Status: "duplicate"})
+		return
 	}
-	c.notifyLocked() // capacity freed
-	c.mu.Unlock()
-
-	if rr.Error != "" {
+	rj := j.rj
+	if rr.Error != "" || rr.History == nil || len(rr.History.Stats) == 0 {
+		// An error upload is only honoured from the current lease holder: a
+		// stale worker (lease expired, job requeued) reporting a worker-local
+		// failure must not kill a retry that is actively recomputing the job.
+		if rr.Error != "" && (j.state != jobLeased || j.worker != wid) {
+			c.cm.uploads.With("rejected").Inc()
+			c.mu.Unlock()
+			httpErr(w, http.StatusGone, "lease on job %s lost; error discarded", jid)
+			return
+		}
 		// An execution error is deterministic (same spec, same code path on
 		// every worker) — retrying elsewhere would fail identically, so the
-		// job fails now; the retry budget is reserved for lease expiry.
-		c.cm.uploads.With("failed").Inc()
-		c.noteCompleteAndMaybeCheckpoint(jid, "failed")
-		j.h.complete(nil, fmt.Errorf("dispatch: job %.12s failed on worker %s: %s", jid, wid, rr.Error))
+		// job fails now; the retry budget is reserved for lease expiry. An
+		// empty upload fails it too rather than pin the cell "done" with
+		// nothing in the store.
+		status, outcome := "rejected", "empty history"
+		err := fmt.Errorf("dispatch: job %.12s: worker %s uploaded an empty history", jid, wid)
+		if rr.Error != "" {
+			status, outcome = "failed", "worker error"
+			err = fmt.Errorf("dispatch: job %.12s failed on worker %s: %s", jid, wid, rr.Error)
+		}
+		c.finishLocked(j, "failed", outcome, now)
+		c.mu.Unlock()
+		c.cm.uploads.With(status).Inc()
+		rj.h.complete(nil, err)
+		if rr.Error == "" {
+			httpErr(w, http.StatusBadRequest, "empty history for job %s", jid)
+			return
+		}
 		writeJSON(w, http.StatusOK, resultResponse{Status: "failed"})
 		return
 	}
-	if rr.History == nil || len(rr.History.Stats) == 0 {
-		// Reject before completing the handle: an empty upload must not pin
-		// the cell "done" with nothing in the store. The job is already
-		// detached; the worker sees the error and the submitter sees the
-		// failure.
-		c.cm.uploads.With("rejected").Inc()
-		c.noteCompleteAndMaybeCheckpoint(jid, "failed")
-		j.h.complete(nil, fmt.Errorf("dispatch: job %.12s: worker %s uploaded an empty history", jid, wid))
-		httpErr(w, http.StatusBadRequest, "empty history for job %s", jid)
-		return
+	// Successful uploads are accepted from anyone — the result is a
+	// deterministic function of the job. The job is detached while its
+	// artifact is stored, and its complete record is journaled only once the
+	// artifact is durable: a crash between the two replays the job and
+	// recovery drops it as stored — never the log saying done while the
+	// store has nothing.
+	leased := j.state == jobLeased
+	c.q.detach(j)
+	if leased {
+		c.endLeaseLocked(j, "", now)
 	}
+	c.wakeLocked()
+	subs := append([]func(fl.RoundStat){}, rj.onRound...)
+	c.mu.Unlock()
 	c.cm.uploads.With("stored").Inc()
 	if err := c.cfg.Store.Put(jid, rr.History); err != nil {
 		// Mirror the local backend: the computation succeeded, so the
@@ -1038,11 +797,9 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, req *http.Request) {
 		// is lost.
 		c.cfg.Logf("dispatch: persisting job %.12s: %v", jid, err)
 	}
-	// The complete record is journaled only after the artifact is durably in
-	// the store: a crash between the two replays the job, finds the artifact
-	// on recovery, and drops it — never the reverse, where the log says done
-	// but the store has nothing.
-	c.noteCompleteAndMaybeCheckpoint(jid, "stored")
+	c.mu.Lock()
+	c.journalLocked(c.q.complete(j, "stored"))
+	c.mu.Unlock()
 	// Persist the job's trace alongside the history: lease spans recorded by
 	// this coordinator (workers keep their own execution spans). Best-effort
 	// — traces are debugging artifacts, not part of the result contract.
@@ -1058,16 +815,16 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, req *http.Request) {
 	// local backend's progress contract. relayMu is held across the
 	// deliveries so a straggling heartbeat relay for the same job cannot
 	// interleave its rounds with (or duplicate) the backfill.
-	j.relayMu.Lock()
-	if j.relayed < len(rr.History.Stats) {
-		for _, st := range rr.History.Stats[j.relayed:] {
+	rj.relayMu.Lock()
+	if rj.relayed < len(rr.History.Stats) {
+		for _, st := range rr.History.Stats[rj.relayed:] {
 			for _, f := range subs {
 				f(st)
 			}
 		}
-		j.relayed = len(rr.History.Stats)
+		rj.relayed = len(rr.History.Stats)
 	}
-	j.relayMu.Unlock()
-	j.h.complete(rr.History, nil)
+	rj.relayMu.Unlock()
+	rj.h.complete(rr.History, nil)
 	writeJSON(w, http.StatusOK, resultResponse{Status: "stored"})
 }

@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -509,5 +510,64 @@ func TestCoordinatorCloseFailsJobs(t *testing.T) {
 	}
 	if _, err := h.coord.Submit(testJob(10), SubmitOpts{}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("submit after Close: %v, want ErrClosed", err)
+	}
+}
+
+// serveDirect runs one worker-protocol request through the coordinator's
+// handlers without a network hop, so tests can race uploads against Submit
+// from any goroutine.
+func serveDirect(mux *http.ServeMux, method, url string, body any) int {
+	b, _ := json.Marshal(body)
+	rec := httptest.NewRecorder()
+	mux.ServeHTTP(rec, httptest.NewRequest(method, url, bytes.NewReader(b)))
+	return rec.Code
+}
+
+// TestSubmitRacingUploadLeavesNoGhost is the regression for the ghost job:
+// a successful upload that lands while a durable Submit waits for its
+// fsync completes the job, and the job must then be gone — not queued
+// again and leased for a recompute whose upload can only be a duplicate.
+func TestSubmitRacingUploadLeavesNoGhost(t *testing.T) {
+	c, err := NewCoordinator(CoordinatorConfig{
+		Store: tstore(t), WALPath: filepath.Join(t.TempDir(), "coord.wal"), Logf: t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	mux := http.NewServeMux()
+	c.Mount(mux)
+	for trial := 0; trial < 20; trial++ {
+		job := testJob(900 + trial)
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			url := fmt.Sprintf("/v1/workers/w-x/jobs/%s/result", job.ID)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				serveDirect(mux, http.MethodPost, url, wire.Result{History: cannedHist(900 + trial)})
+			}
+		}()
+		hd, err := c.Submit(job, SubmitOpts{})
+		if err != nil {
+			close(stop)
+			wg.Wait()
+			t.Fatal(err)
+		}
+		_, err = waitDone(t, hd)
+		close(stop)
+		wg.Wait()
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if s := c.Stats(); s.Pending != 0 || s.Leased != 0 {
+			t.Fatalf("trial %d: completed job still queued: %+v", trial, s)
+		}
 	}
 }

@@ -18,6 +18,7 @@ import (
 
 	"fedwcm/internal/dispatch/wal"
 	"fedwcm/internal/fl"
+	"fedwcm/internal/wire"
 )
 
 // TestCoordinatorRecoversWALJobs is the tentpole contract: a WAL-backed
@@ -642,5 +643,87 @@ func TestInMemoryCoordinatorReportsNotDurable(t *testing.T) {
 	h := newCoordHarness(t, CoordinatorConfig{})
 	if s := h.coord.Stats(); s.Durable || s.Recovered != 0 {
 		t.Fatalf("in-memory coordinator reports durability: %+v", s)
+	}
+}
+
+// TestResubmitAfterFailedUploadSurvivesRestart is the regression for the
+// lost resubmit: an error upload fails a leased job while the same cell is
+// resubmitted. When the resubmission started a new job (it did not
+// coalesce onto the failing one), Submit acknowledged it durably, so a
+// coordinator reopened on the same WAL must recover it — the failed job's
+// complete record may not land after the new submit record. Trial by trial
+// the resubmission starts a little later, sweeping it across the upload.
+func TestResubmitAfterFailedUploadSurvivesRestart(t *testing.T) {
+	trials := 400
+	if testing.Short() {
+		trials = 200
+	}
+	st := tstore(t)
+	dir := t.TempDir()
+	job := testJob(950)
+	lost := 0
+	for trial := 0; trial < trials; trial++ {
+		cfg := CoordinatorConfig{
+			Store: st, WALPath: filepath.Join(dir, fmt.Sprintf("coord-%d.wal", trial)),
+			LeaseTTL: 10 * time.Second, Logf: func(string, ...any) {},
+		}
+		c, err := NewCoordinator(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mux := http.NewServeMux()
+		c.Mount(mux)
+		if _, err := c.Submit(job, SubmitOpts{}); err != nil {
+			t.Fatal(err)
+		}
+		var reg registerResponse
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/workers", strings.NewReader(`{"slots":1}`)))
+		if err := json.Unmarshal(rec.Body.Bytes(), &reg); err != nil {
+			t.Fatal(err)
+		}
+		if code := serveDirect(mux, http.MethodPost, "/v1/workers/"+reg.ID+"/lease", leaseRequest{}); code != http.StatusOK {
+			t.Fatalf("lease: HTTP %d", code)
+		}
+		var wg sync.WaitGroup
+		var hd Handle
+		var serr error
+		start := make(chan struct{})
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			<-start
+			serveDirect(mux, http.MethodPost, fmt.Sprintf("/v1/workers/%s/jobs/%s/result", reg.ID, job.ID), wire.Result{Error: "diverged"})
+		}()
+		go func() {
+			defer wg.Done()
+			<-start
+			for begin := time.Now(); time.Since(begin) < time.Duration(trial%100)*time.Microsecond; {
+			}
+			hd, serr = c.Submit(job, SubmitOpts{})
+		}()
+		close(start)
+		wg.Wait()
+		if serr != nil {
+			t.Fatal(serr)
+		}
+		// A resubmission that coalesced onto the failing job failed with it;
+		// one that did not is a live, acknowledged job.
+		acked := !hd.(*handle).completed()
+		c.Close()
+
+		c2, err := NewCoordinator(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := c2.Stats().Recovered; acked && got != 1 {
+			lost++
+		} else if !acked && got != 0 {
+			t.Fatalf("trial %d: a failed job came back after restart (%d recovered)", trial, got)
+		}
+		c2.Close()
+	}
+	if lost > 0 {
+		t.Fatalf("%d of %d acknowledged resubmissions were lost across a restart", lost, trials)
 	}
 }

@@ -1,7 +1,8 @@
 // Package wal is the coordinator's write-ahead log: an append-only journal
-// of job-state transitions (submit, lease, requeue, complete) that lets a
-// restarted coordinator rebuild its queue instead of dumping every
-// submitted cell.
+// of framed records that lets a restarted coordinator rebuild its queue
+// instead of dumping every submitted cell. The log does not interpret the
+// records — internal/dispatch's queue state machine wrote them and replays
+// them; Open hands them back in append order.
 //
 // On-disk format: a 6-byte magic header ("FWAL1\n") followed by
 // length-prefixed frames —
@@ -10,11 +11,11 @@
 //
 // where the payload is one record: a type byte followed by
 // uvarint-length-prefixed job / worker / status / spec fields and a uvarint
-// attempt counter. Every Append is fsync'd before it returns (concurrent
-// appenders share one fsync via group commit), so an acknowledged
-// submission survives power loss. AppendAsync rides the same group commit
-// without waiting for it — the right trade for drain-path transitions
-// (lease/requeue/complete) whose loss recovery tolerates by design.
+// attempt counter. AppendAsync buffers records for the background group
+// commit and returns at once; Sync waits until everything buffered so far
+// is durable (concurrent waiters share one fsync), and Append is the two
+// together. Records reach the file in the order they were buffered, so a
+// crash loses only a suffix.
 //
 // Recovery semantics are deliberately asymmetric: a torn tail — a partial
 // frame, or a checksum mismatch on the final frame — is the expected
@@ -39,21 +40,15 @@ import (
 	"fedwcm/internal/store"
 )
 
-// Type enumerates the journaled transitions.
+// Type names the queue transition a record journals; internal/dispatch's
+// queue defines what each means.
 type Type uint8
 
 const (
-	// TypeSubmit journals a job entering the queue (carries the spec).
-	TypeSubmit Type = iota + 1
-	// TypeLease journals a lease grant (carries the worker and the
-	// post-grant attempt count).
-	TypeLease
-	// TypeRequeue journals a job returning to the queue (carries the
-	// post-adjustment attempt count: unchanged after expiry, refunded after
-	// a clean handover).
-	TypeRequeue
-	// TypeComplete journals a terminal outcome; replay drops the job.
-	TypeComplete
+	TypeSubmit   Type = iota + 1 // a job entering the queue
+	TypeLease                    // a lease grant
+	TypeRequeue                  // a leased job back at the front of the queue
+	TypeComplete                 // a terminal outcome
 )
 
 // Record is one journaled transition.
@@ -61,27 +56,16 @@ type Record struct {
 	Type     Type
 	Job      string // fingerprint
 	Worker   string // lease holder (TypeLease only)
-	Attempts int    // leases granted so far (TypeLease / TypeRequeue / compacted TypeSubmit)
+	Attempts int    // attempt count after the transition (all but TypeComplete)
 	Status   string // terminal status (TypeComplete): "stored" or "failed"
 	Spec     []byte // canonical spec JSON (TypeSubmit only)
 }
 
-// JobState is one live (non-terminal) job reconstructed by replay.
-type JobState struct {
-	ID       string
-	Spec     []byte
-	Attempts int    // leases granted before the crash
-	Leased   bool   // a lease was active when the log ended
-	Worker   string // last lease holder (informational)
-}
-
 // Recovery reports what Open found in an existing log.
 type Recovery struct {
-	Jobs      []JobState // live jobs, in submission order
-	Records   int        // valid records replayed
-	Completes int        // terminal records seen (compaction pressure)
-	Torn      bool       // the log ended in a partial or half-written frame
-	Truncated int64      // bytes dropped from the torn tail
+	Records   []Record // every valid record, in append order
+	Torn      bool     // the log ended in a partial or half-written frame
+	Truncated int64    // bytes dropped from the torn tail
 }
 
 // ErrCorrupt means the log is damaged before its tail: a record that was
@@ -211,50 +195,23 @@ func Open(path string) (*Log, *Recovery, error) {
 	return l, rec, nil
 }
 
-// Append journals the records and returns once they are durable. Multiple
-// records in one call land atomically with respect to recovery ordering
-// (they share one flush). An error is sticky: once a write or fsync fails
-// the log refuses further appends, so callers fail closed instead of
-// acknowledging work that was never persisted.
+// Append journals the records and returns once they are durable: it is
+// AppendAsync followed by Sync.
 func (l *Log) Append(recs ...Record) error {
-	if len(recs) == 0 {
-		return nil
-	}
-	var frames []byte
-	for i := range recs {
-		frames = appendFrame(frames, &recs[i])
-	}
-	l.mu.Lock()
-	if l.err != nil {
-		err := l.err
-		l.mu.Unlock()
+	if err := l.AppendAsync(recs...); err != nil {
 		return err
 	}
-	l.buf = append(l.buf, frames...)
-	l.seq++
-	if !l.syncing {
-		l.syncing = true
-		go l.flushLoop()
-	}
-	// Capturing the wait in the same critical section as the buffering
-	// guarantees the flush that rotates it covers our frames; the channel
-	// close is the durability (or failure) signal.
-	w := l.wait
-	l.mu.Unlock()
-	<-w.done
-	return w.err
+	return l.Sync()
 }
 
 // AppendAsync buffers the records for the next group commit and returns
 // without waiting for the fsync. A background flush leader (started here if
 // none is running) writes and syncs the batch; until it does, a crash can
-// drop the records. That makes AppendAsync correct only for transitions
-// that are individually safe to lose — lease grants, requeues, completes —
-// where replaying the pre-transition state is benign. Submissions must stay
-// on Append: acknowledging a spec that was never persisted loses work.
-// Ordering is preserved relative to every other append (sync or async):
-// frames share one buffer, so recovery replays them in call order. A sticky
-// write/fsync error from a prior flush is returned just like Append's.
+// drop the records — together with every record buffered after them, since
+// frames share one buffer and reach the file in call order. An error is
+// sticky: once a write or fsync fails the log refuses further appends, so
+// callers fail closed instead of acknowledging work that was never
+// persisted.
 func (l *Log) AppendAsync(recs ...Record) error {
 	if len(recs) == 0 {
 		return nil
@@ -275,6 +232,25 @@ func (l *Log) AppendAsync(recs ...Record) error {
 		go l.flushLoop()
 	}
 	return nil
+}
+
+// Sync returns once every record buffered before the call is durable, or
+// with the log's sticky error.
+func (l *Log) Sync() error {
+	l.mu.Lock()
+	if !l.syncing {
+		// No flush leader: everything buffered was flushed (or failed).
+		err := l.err
+		l.mu.Unlock()
+		return err
+	}
+	// The current wait closes after the flush covering the current buffer —
+	// or, when the buffer is empty, after the leader's in-flight batch —
+	// so the channel close is the durability (or failure) signal.
+	w := l.wait
+	l.mu.Unlock()
+	<-w.done
+	return w.err
 }
 
 // flushLoop is the background commit leader spawned by the first append
@@ -384,19 +360,18 @@ func (l *Log) Size() int64 {
 }
 
 // Compact atomically replaces the log's contents with live: a fresh file
-// is written beside the log, fsync'd, and renamed over it. The caller must
-// guarantee no concurrent Append (the coordinator holds its WAL gate
-// exclusively during checkpoints); live is typically one TypeSubmit — plus
-// one TypeLease for held leases — per non-terminal job.
+// is written beside the log, fsync'd, and renamed over it. live must
+// describe the state after every record appended so far — it supersedes
+// them — and the caller must not append concurrently (the coordinator
+// snapshots its queue and compacts under the lock it appends under). live
+// is typically one TypeSubmit — plus one TypeLease for held leases — per
+// non-terminal job.
 func (l *Log) Compact(live []Record) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for l.syncing {
-		w := l.wait
-		l.mu.Unlock()
-		<-w.done
-		l.mu.Lock()
-	}
+	// With no concurrent appends the drained buffer stays empty, and nothing
+	// is left writing to the file being replaced.
+	l.drainLocked()
 	if l.err != nil {
 		return l.err
 	}
@@ -409,13 +384,6 @@ func (l *Log) Compact(live []Record) error {
 	for i := range live {
 		frames = appendFrame(frames, &live[i])
 	}
-	// Any frames buffered by appenders that were pre-empted before flushing
-	// describe transitions older than the caller's snapshot; carrying them
-	// into the new file keeps their Append calls truthful (replay tolerates
-	// stale lease/complete records for unknown jobs).
-	frames = append(frames, l.buf...)
-	l.buf = nil
-	l.synced = l.seq
 	_, werr := tmp.Write(frames)
 	if werr == nil {
 		// Preallocate the replacement like Open does, so appends after the
@@ -445,29 +413,15 @@ func (l *Log) Compact(live []Record) error {
 	l.f = tmp
 	l.off = int64(len(frames))
 	l.alloc = l.off + preallocChunk
-	// Anyone whose buffered frames we carried is now durable.
-	w := l.wait
-	l.wait = &flushWait{done: make(chan struct{})}
-	close(w.done)
 	return nil
 }
 
-// Close flushes any frames still parked by AppendAsync (a clean shutdown
-// should not demote buffered transitions into crash losses), then releases
+// Close waits for the flush leader to write out every buffered frame (a
+// clean shutdown should not demote them into crash losses), then releases
 // the file. Further appends fail.
 func (l *Log) Close() error {
 	l.mu.Lock()
-	for l.syncing {
-		w := l.wait
-		l.mu.Unlock()
-		<-w.done
-		l.mu.Lock()
-	}
-	if l.err == nil && len(l.buf) > 0 {
-		l.syncing = true
-		l.flushBatchLocked()
-		l.syncing = false
-	}
+	l.drainLocked()
 	f := l.f
 	off := l.off
 	clean := l.err == nil
@@ -492,6 +446,17 @@ func (l *Log) Close() error {
 		return f.Close()
 	}
 	return nil
+}
+
+// drainLocked waits, with l.mu held on entry and exit, until the flush
+// leader has written out everything buffered (or failed).
+func (l *Log) drainLocked() {
+	for l.syncing {
+		w := l.wait
+		l.mu.Unlock()
+		<-w.done
+		l.mu.Lock()
+	}
 }
 
 // allZero reports whether b holds only zero bytes — the signature of the
@@ -580,9 +545,9 @@ func readString(p []byte) (string, []byte, error) {
 
 // --- replay ---
 
-// replay scans f from the start and folds every valid record into live job
-// state. It returns the recovery summary and the byte offset of the valid
-// prefix (everything past it is a torn tail the caller truncates).
+// replay scans f from the start and returns every valid record in order,
+// plus the byte offset of the valid prefix (everything past it is a torn
+// tail the caller truncates).
 func replay(f *os.File) (*Recovery, int64, error) {
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return nil, 0, fmt.Errorf("wal: %w", err)
@@ -602,8 +567,6 @@ func replay(f *os.File) (*Recovery, int64, error) {
 	if string(data[:len(fileMagic)]) != fileMagic {
 		return nil, 0, fmt.Errorf("%w: bad file header", ErrCorrupt)
 	}
-	jobs := make(map[string]*JobState)
-	var order []string
 	off := len(fileMagic)
 	for off < len(data) {
 		if len(data)-off < headerLen {
@@ -652,39 +615,8 @@ func replay(f *os.File) (*Recovery, int64, error) {
 		if derr != nil {
 			return nil, 0, fmt.Errorf("wal: frame at offset %d: %w", off, derr)
 		}
-		applyRecord(jobs, &order, r, rec)
-		rec.Records++
+		rec.Records = append(rec.Records, r)
 		off += headerLen + int(plen)
 	}
-	for _, id := range order {
-		if j, ok := jobs[id]; ok && j != nil {
-			rec.Jobs = append(rec.Jobs, *j)
-			delete(jobs, id) // a resubmitted id appears once per live epoch
-		}
-	}
 	return rec, int64(off), nil
-}
-
-// applyRecord folds one record into the live-job map. Records for unknown
-// jobs (stale lease/requeue/complete surviving a compaction race) are
-// ignored: replay is a conservative fold, not a strict state machine.
-func applyRecord(jobs map[string]*JobState, order *[]string, r Record, rec *Recovery) {
-	switch r.Type {
-	case TypeSubmit:
-		if jobs[r.Job] == nil {
-			jobs[r.Job] = &JobState{ID: r.Job, Spec: r.Spec, Attempts: r.Attempts}
-			*order = append(*order, r.Job)
-		}
-	case TypeLease:
-		if j := jobs[r.Job]; j != nil {
-			j.Leased, j.Worker, j.Attempts = true, r.Worker, r.Attempts
-		}
-	case TypeRequeue:
-		if j := jobs[r.Job]; j != nil {
-			j.Leased, j.Worker, j.Attempts = false, "", r.Attempts
-		}
-	case TypeComplete:
-		rec.Completes++
-		delete(jobs, r.Job)
-	}
 }
